@@ -1,7 +1,7 @@
 //! Physical plan enumeration and cost-based selection.
 //!
 //! For any query the applicable strategies are: the shape's structural
-//! (heuristic) algorithm — what the old `Auto` dispatch ran — plus the
+//! (heuristic) algorithm — what `PlanChoice::Heuristic` runs — plus the
 //! always-applicable [`PlanKind::Tree`] pipeline,
 //! [`PlanKind::FreeConnexYannakakis`] baseline, and
 //! [`PlanKind::CanonicalEdgeCover`] variant. Every candidate is priced by

@@ -154,7 +154,7 @@ fn parse_args() -> Result<Args, String> {
         servers: 16,
         threads: mpcjoin::mpc::exec::available_threads(),
         semiring: "count".to_string(),
-        plan: PlanChoice::Auto,
+        plan: PlanChoice::default(),
         baseline: false,
         limit: 20,
         dot: false,

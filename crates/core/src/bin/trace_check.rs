@@ -6,28 +6,30 @@
 //! trace_check out/trace.json
 //! ```
 //!
-//! Checks, in order: the document parses, carries a known schema tag
-//! (`mpcjoin-trace-v1`, `-v2`, or `-v3`), every event's traffic matrix
-//! is `servers × servers` and re-sums to its received vector, the
-//! events account for exactly `total_units` of traffic, the maximum
-//! (server, round) cell equals `load`, and the embedded report
-//! (per-server histogram, critical cell) agrees with the recomputation.
-//! For v2+ documents carrying a non-null `audit` member, the verdict
-//! must audit this very trace (`audit.measured == load`) and its
-//! `within` flag must be consistent with `measured ≤ slack·bound +
-//! additive`. v3 documents additionally carry the fault plane's story:
-//! a `recovery` event array (every event well-formed, a known kind, in
-//! round range) and a `recovery_report` whose counters must agree with
-//! those events (retransmissions vs `retries`, crash replays vs
-//! `servers_lost`, `recovered` vs `unrecoverable`).
+//! Checks, in order: the document parses, carries the schema tag
+//! `mpcjoin-trace-v3` (the only one any producer has written since the
+//! fault plane landed; older tags are refused as unsupported), every
+//! event's traffic matrix is `servers × servers` and re-sums to its
+//! received vector, the events account for exactly `total_units` of
+//! traffic, the maximum (server, round) cell equals `load`, and the
+//! embedded report (per-server histogram, critical cell) agrees with the
+//! recomputation. When the `audit` member is non-null, the verdict must
+//! audit this very trace (`audit.measured == load`) and its `within`
+//! flag must be consistent with `measured ≤ slack·bound + additive`.
+//! Documents also carry the fault plane's story: a `recovery` event
+//! array (every event well-formed, a known kind, in round range) and a
+//! `recovery_report` whose counters must agree with those events
+//! (retransmissions vs `retries`, crash replays vs `servers_lost`,
+//! `recovered` vs `unrecoverable`).
 
 use mpcjoin::mpc::json::Json;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-fn check(path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
+const SCHEMA: &str = "mpcjoin-trace-v3";
+
+fn check(text: &str) -> Result<String, String> {
+    let doc = Json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
 
     let str_field = |j: &Json, k: &str| -> Result<String, String> {
         j.get(k)
@@ -42,11 +44,10 @@ fn check(path: &str) -> Result<String, String> {
     };
 
     let schema = str_field(&doc, "schema")?;
-    if !matches!(
-        schema.as_str(),
-        "mpcjoin-trace-v1" | "mpcjoin-trace-v2" | "mpcjoin-trace-v3"
-    ) {
-        return Err(format!("unknown schema `{schema}`"));
+    if schema != SCHEMA {
+        return Err(format!(
+            "unsupported schema `{schema}` (only `{SCHEMA}` is accepted)"
+        ));
     }
     let servers = num_field(&doc, "servers")? as usize;
     if servers == 0 {
@@ -162,14 +163,12 @@ fn check(path: &str) -> Result<String, String> {
         }
     }
 
-    // v2+ documents may embed a bound-audit verdict; when present it
-    // must audit this very trace and be internally consistent.
+    // The embedded bound-audit verdict, when present, must audit this
+    // very trace and be internally consistent.
     let mut audit_note = String::new();
     match doc.get("audit") {
-        None if schema != "mpcjoin-trace-v1" => {
-            return Err(format!("{schema} document missing `audit`"))
-        }
-        None | Some(Json::Null) => {}
+        None => return Err(format!("{schema} document missing `audit`")),
+        Some(Json::Null) => {}
         Some(audit) => {
             let measured = num_field(audit, "measured")?;
             if measured != load {
@@ -199,105 +198,102 @@ fn check(path: &str) -> Result<String, String> {
         }
     }
 
-    // v3 documents carry the fault plane's recovery story; the event
-    // list and the embedded report must tell the same one.
+    // The fault plane's recovery story: the event list and the embedded
+    // report must tell the same one.
     let mut recovery_note = String::new();
-    if schema == "mpcjoin-trace-v3" {
-        const KINDS: [&str; 7] = [
-            "retransmit",
-            "dedup",
-            "resequence",
-            "crash_replay",
-            "straggler",
-            "compute_retry",
-            "unrecoverable",
-        ];
-        let recovery = doc
-            .get("recovery")
-            .and_then(Json::as_arr)
-            .ok_or("v3 document missing `recovery` array")?;
-        let mut by_kind: HashMap<&str, u64> = HashMap::new();
-        for (i, event) in recovery.iter().enumerate() {
-            let kind = str_field(event, "kind").map_err(|e| format!("recovery event {i}: {e}"))?;
-            let Some(known) = KINDS.iter().find(|k| **k == kind) else {
-                return Err(format!("recovery event {i}: unknown kind `{kind}`"));
-            };
-            *by_kind.entry(known).or_default() += 1;
-            // Recovery fires at round *boundaries*: a compute retry can
-            // sit at the boundary after the last credited round, so the
-            // legal range is one wider than the events' strict `< rounds`.
-            let round =
-                num_field(event, "round").map_err(|e| format!("recovery event {i}: {e}"))?;
-            if round > rounds {
-                return Err(format!(
-                    "recovery event {i}: round {round} out of range (rounds = {rounds})"
-                ));
-            }
-            for k in ["attempt", "units", "delay_ns"] {
-                num_field(event, k).map_err(|e| format!("recovery event {i}: {e}"))?;
-            }
-            for k in ["phase", "label"] {
-                str_field(event, k).map_err(|e| format!("recovery event {i}: {e}"))?;
+    const KINDS: [&str; 7] = [
+        "retransmit",
+        "dedup",
+        "resequence",
+        "crash_replay",
+        "straggler",
+        "compute_retry",
+        "unrecoverable",
+    ];
+    let recovery = doc
+        .get("recovery")
+        .and_then(Json::as_arr)
+        .ok_or("v3 document missing `recovery` array")?;
+    let mut by_kind: HashMap<&str, u64> = HashMap::new();
+    for (i, event) in recovery.iter().enumerate() {
+        let kind = str_field(event, "kind").map_err(|e| format!("recovery event {i}: {e}"))?;
+        let Some(known) = KINDS.iter().find(|k| **k == kind) else {
+            return Err(format!("recovery event {i}: unknown kind `{kind}`"));
+        };
+        *by_kind.entry(known).or_default() += 1;
+        // Recovery fires at round *boundaries*: a compute retry can
+        // sit at the boundary after the last credited round, so the
+        // legal range is one wider than the events' strict `< rounds`.
+        let round = num_field(event, "round").map_err(|e| format!("recovery event {i}: {e}"))?;
+        if round > rounds {
+            return Err(format!(
+                "recovery event {i}: round {round} out of range (rounds = {rounds})"
+            ));
+        }
+        for k in ["attempt", "units", "delay_ns"] {
+            num_field(event, k).map_err(|e| format!("recovery event {i}: {e}"))?;
+        }
+        for k in ["phase", "label"] {
+            str_field(event, k).map_err(|e| format!("recovery event {i}: {e}"))?;
+        }
+    }
+    match doc.get("recovery_report") {
+        None => return Err("v3 document missing `recovery_report`".into()),
+        Some(Json::Null) => {
+            if !recovery.is_empty() {
+                return Err("recovery events present but `recovery_report` is null".into());
             }
         }
-        match doc.get("recovery_report") {
-            None => return Err("v3 document missing `recovery_report`".into()),
-            Some(Json::Null) => {
-                if !recovery.is_empty() {
-                    return Err("recovery events present but `recovery_report` is null".into());
-                }
+        Some(report) => {
+            let rschema = str_field(report, "schema").map_err(|e| format!("recovery: {e}"))?;
+            if rschema != "mpcjoin-recovery-v1" {
+                return Err(format!("unknown recovery report schema `{rschema}`"));
             }
-            Some(report) => {
-                let rschema = str_field(report, "schema").map_err(|e| format!("recovery: {e}"))?;
-                if rschema != "mpcjoin-recovery-v1" {
-                    return Err(format!("unknown recovery report schema `{rschema}`"));
-                }
-                let rnum = |k: &str| num_field(report, k).map_err(|e| format!("recovery: {e}"));
-                let retries = rnum("retries")?;
-                if retries != by_kind.get("retransmit").copied().unwrap_or(0) {
-                    return Err(format!(
-                        "recovery_report.retries = {retries} but the trace carries {} retransmit events",
-                        by_kind.get("retransmit").copied().unwrap_or(0)
-                    ));
-                }
-                let lost = report
-                    .get("servers_lost")
-                    .and_then(Json::as_arr)
-                    .ok_or("recovery: missing `servers_lost` array")?
-                    .len() as u64;
-                if lost != by_kind.get("crash_replay").copied().unwrap_or(0) {
-                    return Err(format!(
-                        "recovery_report.servers_lost has {lost} entries but the trace carries {} crash_replay events",
-                        by_kind.get("crash_replay").copied().unwrap_or(0)
-                    ));
-                }
-                let recovered = match report.get("recovered") {
-                    Some(Json::Bool(b)) => *b,
-                    _ => return Err("recovery: missing boolean field `recovered`".into()),
-                };
-                let poisoned = !matches!(report.get("unrecoverable"), Some(Json::Null) | None);
-                if recovered == poisoned {
-                    return Err(format!(
-                        "recovery_report.recovered = {recovered} contradicts its `unrecoverable` member"
-                    ));
-                }
-                let embedded = report
-                    .get("events")
-                    .and_then(Json::as_arr)
-                    .ok_or("recovery: missing `events` array")?;
-                if embedded.len() != recovery.len() {
-                    return Err(format!(
-                        "recovery_report.events has {} entries, trace `recovery` has {}",
-                        embedded.len(),
-                        recovery.len()
-                    ));
-                }
-                recovery_note = format!(
-                    ", recovery {} ({} events)",
-                    if recovered { "ok" } else { "FAILED" },
+            let rnum = |k: &str| num_field(report, k).map_err(|e| format!("recovery: {e}"));
+            let retries = rnum("retries")?;
+            if retries != by_kind.get("retransmit").copied().unwrap_or(0) {
+                return Err(format!(
+                    "recovery_report.retries = {retries} but the trace carries {} retransmit events",
+                    by_kind.get("retransmit").copied().unwrap_or(0)
+                ));
+            }
+            let lost = report
+                .get("servers_lost")
+                .and_then(Json::as_arr)
+                .ok_or("recovery: missing `servers_lost` array")?
+                .len() as u64;
+            if lost != by_kind.get("crash_replay").copied().unwrap_or(0) {
+                return Err(format!(
+                    "recovery_report.servers_lost has {lost} entries but the trace carries {} crash_replay events",
+                    by_kind.get("crash_replay").copied().unwrap_or(0)
+                ));
+            }
+            let recovered = match report.get("recovered") {
+                Some(Json::Bool(b)) => *b,
+                _ => return Err("recovery: missing boolean field `recovered`".into()),
+            };
+            let poisoned = !matches!(report.get("unrecoverable"), Some(Json::Null) | None);
+            if recovered == poisoned {
+                return Err(format!(
+                    "recovery_report.recovered = {recovered} contradicts its `unrecoverable` member"
+                ));
+            }
+            let embedded = report
+                .get("events")
+                .and_then(Json::as_arr)
+                .ok_or("recovery: missing `events` array")?;
+            if embedded.len() != recovery.len() {
+                return Err(format!(
+                    "recovery_report.events has {} entries, trace `recovery` has {}",
+                    embedded.len(),
                     recovery.len()
-                );
+                ));
             }
+            recovery_note = format!(
+                ", recovery {} ({} events)",
+                if recovered { "ok" } else { "FAILED" },
+                recovery.len()
+            );
         }
     }
 
@@ -313,7 +309,10 @@ fn main() -> ExitCode {
         eprintln!("usage: trace_check <trace.json>");
         return ExitCode::FAILURE;
     };
-    match check(&path) {
+    let checked = std::fs::read_to_string(&path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| check(&text));
+    match checked {
         Ok(msg) => {
             println!("{msg}");
             ExitCode::SUCCESS
@@ -321,6 +320,29 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("trace_check: {path}: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check;
+
+    /// A minimal traffic-free document under the given schema tag.
+    fn empty_trace(schema: &str) -> String {
+        format!(
+            r#"{{"schema":"{schema}","servers":2,"load":0,"rounds":0,"total_units":0,
+               "events":[],"report":{{"per_server":[0,0],"critical":null}},
+               "audit":null,"recovery":[],"recovery_report":null}}"#
+        )
+    }
+
+    #[test]
+    fn only_v3_documents_are_accepted() {
+        assert!(check(&empty_trace("mpcjoin-trace-v3")).is_ok());
+        for old in ["mpcjoin-trace-v1", "mpcjoin-trace-v2"] {
+            let err = check(&empty_trace(old)).unwrap_err();
+            assert!(err.contains("unsupported schema"), "{old}: {err}");
         }
     }
 }

@@ -16,7 +16,7 @@
 use crate::audit::{AuditVerdict, BoundAuditor, DEFAULT_SLACK};
 use crate::planner::{ExecutionResult, QueryEngine};
 use mpcjoin_delta::{DeltaBatch, DeltaReport, MaterializedView};
-use mpcjoin_mpc::{Cluster, DistRelation, MpcError};
+use mpcjoin_mpc::{DistRelation, MpcError};
 use mpcjoin_relation::Attr;
 use mpcjoin_semiring::Semiring;
 
@@ -68,28 +68,20 @@ impl QueryEngine {
 
         // Incremental path: route only the delta through costed
         // exchanges on a fresh cluster.
-        let mut cluster = match self.threads {
-            Some(n) => Cluster::with_threads(self.p, n),
-            None => Cluster::new(self.p),
-        };
-        if self.trace {
-            cluster.enable_tracing();
-        }
-        if self.metrics {
-            cluster.enable_metrics();
-        }
+        let mut run = self.observed_cluster(None, None);
+        let cluster = &mut run.cluster;
 
         let mut costed_exchanges = 0usize;
         cluster.mark_phase("delta: rebalance edge deltas");
         for delta_k in applied.deltas.iter().flatten() {
-            let d = DistRelation::scatter(&cluster, delta_k);
-            let _ = d.rebalance(&mut cluster);
+            let d = DistRelation::scatter(cluster, delta_k);
+            let _ = d.rebalance(cluster);
             costed_exchanges += 1;
         }
         cluster.mark_phase("delta: merge delta output");
         let output_attrs: Vec<Attr> = view.query().output().iter().copied().collect();
-        let dout = DistRelation::scatter(&cluster, &applied.delta_out);
-        let merged = dout.project_aggregate(&mut cluster, &output_attrs);
+        let dout = DistRelation::scatter(cluster, &applied.delta_out);
+        let merged = dout.project_aggregate(cluster, &output_attrs);
         costed_exchanges += 1;
         let output_skew = merged.data().skew();
 
@@ -118,7 +110,7 @@ impl QueryEngine {
             within: (measured as f64) <= DEFAULT_SLACK * bound + additive,
         };
 
-        let trace = cluster.take_trace();
+        let (trace, metrics, recovery) = run.finish();
         let result = ExecutionResult {
             output: view.output().clone(),
             cost,
@@ -126,8 +118,8 @@ impl QueryEngine {
             output_skew,
             audit,
             trace,
-            metrics: cluster.take_metrics(),
-            recovery: None,
+            metrics,
+            recovery,
         };
         Ok(DeltaOutcome { result, report })
     }

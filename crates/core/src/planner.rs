@@ -25,14 +25,16 @@ use mpcjoin_joinagg::{line_query, star_like_query, star_query, tree_query};
 use mpcjoin_matmul::matmul;
 use mpcjoin_mpc::join::join_aggregate;
 use mpcjoin_mpc::{
-    catch_cancel, CancelToken, Cluster, CostReport, DistRelation, FaultPlan, MetricsSnapshot,
-    MpcError, RecoveryReport, Trace,
+    catch_cancel, CancelToken, Cluster, CostReport, DistRelation, FaultPlan, FaultPlane,
+    MetricsLog, MetricsSnapshot, MpcError, RecoveryReport, Trace, Tracer,
 };
 use mpcjoin_query::{classify, plan_reduction, Shape, TreeQuery};
 use mpcjoin_relation::{Attr, Relation, Row, Schema};
 use mpcjoin_semiring::Semiring;
 use mpcjoin_yannakakis::{distributed_yannakakis, sequential_join_aggregate, validate_instance};
+use std::cell::RefCell;
 use std::fmt;
+use std::rc::Rc;
 
 /// Which top-level plan the engine chose. Defined in the compiler crate
 /// (the enumeration is the compiler's candidate space) and re-exported
@@ -42,15 +44,12 @@ pub use mpcjoin_compiler::PlanKind;
 /// How [`QueryEngine`] picks the algorithm to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PlanChoice {
-    /// The default: cost-based selection (an alias of
-    /// [`PlanChoice::CostBased`]). Enumerate every applicable strategy,
-    /// price each with the shared Table-1 cost model
+    /// The default: cost-based selection. Enumerate every applicable
+    /// strategy, price each with the shared Table-1 cost model
     /// (`mpcjoin_compiler`), and run the winner. Selection is hysteretic
     /// (see `mpcjoin_compiler::PREFERENCE_MARGIN`), so the structural
     /// pick runs unless an alternative is predicted decisively cheaper.
     #[default]
-    Auto,
-    /// Cost-based selection, spelled explicitly (what `Auto` does).
     CostBased,
     /// The pre-compiler dispatch: classify the query and run its shape's
     /// algorithm unconditionally, consulting no statistics.
@@ -64,7 +63,8 @@ pub enum PlanChoice {
     Force(PlanKind),
 }
 
-/// The canonical wire names accepted by [`parse_plan_choice`].
+/// The canonical wire names accepted by [`parse_plan_choice`] (`auto`,
+/// the wire default, is the cost-based selection too).
 pub const PLAN_NAMES: &str =
     "auto|costbased|heuristic|baseline|yannakakis|matmul|line|star|starlike|tree|cec";
 
@@ -73,8 +73,7 @@ pub const PLAN_NAMES: &str =
 /// [`MpcError::UnknownPlan`].
 pub fn parse_plan_choice(name: &str) -> Result<PlanChoice, MpcError> {
     Ok(match name {
-        "auto" => PlanChoice::Auto,
-        "costbased" => PlanChoice::CostBased,
+        "auto" | "costbased" => PlanChoice::CostBased,
         "heuristic" => PlanChoice::Heuristic,
         "baseline" => PlanChoice::Baseline,
         "yannakakis" => PlanChoice::Force(PlanKind::FreeConnexYannakakis),
@@ -117,7 +116,7 @@ impl QueryEngine {
             threads: None,
             trace: false,
             metrics: false,
-            plan: PlanChoice::Auto,
+            plan: PlanChoice::default(),
             faults: None,
             cancel: None,
         }
@@ -222,69 +221,39 @@ impl QueryEngine {
         q: &TreeQuery,
         instance: &[Relation<S>],
     ) -> Result<ExecutionResult<S>, MpcError> {
-        let mut cluster = match self.threads {
-            Some(n) => Cluster::with_threads(self.p, n),
-            None => Cluster::new(self.p),
-        };
-        if self.trace {
-            cluster.enable_tracing();
-        }
-        if self.metrics {
-            cluster.enable_metrics();
-        }
-        if let Some(plan) = &self.faults {
-            cluster.install_faults(plan.clone());
-        }
-        if let Some(token) = &self.cancel {
-            cluster.install_cancel(token.clone());
-        }
+        let mut run = self.observed_cluster(self.faults.as_ref(), self.cancel.as_ref());
+        let cluster = &mut run.cluster;
         let dist: Vec<DistRelation<S>> = instance
             .iter()
-            .map(|r| DistRelation::scatter(&cluster, r))
+            .map(|r| DistRelation::scatter(cluster, r))
             .collect();
-        let output: Vec<Attr> = q.output().iter().copied().collect();
-        let (result, plan) = match self.plan {
-            PlanChoice::Auto | PlanChoice::CostBased => {
-                // Statistics are collected locally (no cluster, no
-                // simulated load): planning never perturbs the ledger.
+        let plan = match self.plan {
+            // Statistics are collected locally (no cluster, no simulated
+            // load): planning never perturbs the ledger.
+            PlanChoice::CostBased => {
                 let stats = compiler::Stats::collect(q, instance);
-                let chosen = compiler::select_plan(q, &stats, self.p as u64);
-                if chosen == compiler::heuristic_kind(q) {
-                    // Same algorithm the structural dispatch would run —
-                    // route through it so the execution (and its measured
-                    // load) is bit-identical to the heuristic engine.
-                    execute_on(&mut cluster, q, &dist)
-                } else {
-                    let picked = run_forced(&mut cluster, chosen, q, &dist)
-                        .expect("enumerated plans apply to every tree query");
-                    (normalize(picked, &output), chosen)
-                }
+                compiler::select_plan(q, &stats, self.p as u64)
             }
-            PlanChoice::Heuristic => execute_on(&mut cluster, q, &dist),
-            PlanChoice::Baseline => (
-                normalize(distributed_yannakakis(&mut cluster, q, &dist), &output),
-                PlanKind::FreeConnexYannakakis,
-            ),
-            PlanChoice::Force(kind) => {
-                let forced = run_forced(&mut cluster, kind, q, &dist)?;
-                (normalize(forced, &output), kind)
-            }
+            PlanChoice::Heuristic => compiler::heuristic_kind(q),
+            PlanChoice::Baseline => PlanKind::FreeConnexYannakakis,
+            PlanChoice::Force(kind) => kind,
         };
+        let output: Vec<Attr> = q.output().iter().copied().collect();
+        let result = normalize(run_forced(cluster, plan, q, &dist)?, &output);
         let output_skew = result.data().skew();
         let output = result.gather();
-        if let Some((round, detail)) = cluster.recovery_failed() {
+        let cost = run.cluster.report();
+        let (trace, metrics, recovery) = run.finish();
+        // A schedule the retry policy could not absorb: delivery stayed
+        // faithful, but the output must not be trusted.
+        if let Some((round, detail)) = recovery.as_ref().and_then(|r| r.unrecoverable.clone()) {
             return Err(MpcError::Unrecoverable { round, detail });
         }
-        let cost = cluster.report();
         // Audit the measured load against the bound of the plan that
         // actually ran (sizes from the original instance, OUT from the
         // actual output — the output-sensitive form of the theorems).
         let audit =
             BoundAuditor::new().audit(plan, q, instance, self.p, output.len() as u64, cost.load);
-        // Trace first: the trace snapshots the plane's recovery events,
-        // and `take_recovery` uninstalls the plane.
-        let trace = cluster.take_trace();
-        let recovery = cluster.take_recovery();
         Ok(ExecutionResult {
             output,
             cost,
@@ -292,9 +261,40 @@ impl QueryEngine {
             output_skew,
             audit,
             trace,
-            metrics: cluster.take_metrics(),
+            metrics,
             recovery,
         })
+    }
+
+    /// A fresh cluster with this engine's observers installed — the one
+    /// place planes compose. Installation order is consultation order
+    /// (first stop wins), so the cancel token goes first: a fired token
+    /// pre-empts that round's fault-plane work. The fault plan and token
+    /// are arguments because [`QueryEngine::apply_delta`] installs
+    /// neither on its delta-sized cluster.
+    pub(crate) fn observed_cluster(
+        &self,
+        faults: Option<&FaultPlan>,
+        cancel: Option<&CancelToken>,
+    ) -> ObservedCluster {
+        let mut cluster = match self.threads {
+            Some(n) => Cluster::with_threads(self.p, n),
+            None => Cluster::new(self.p),
+        };
+        if let Some(token) = cancel {
+            cluster.observe(token.clone());
+        }
+        let faults = faults.map(|plan| cluster.observe(FaultPlane::new(plan.clone(), self.p)));
+        let tracer = self.trace.then(|| cluster.observe(Tracer::new(self.p)));
+        let metrics = self
+            .metrics
+            .then(|| cluster.observe(MetricsLog::new(self.p)));
+        ObservedCluster {
+            cluster,
+            tracer,
+            metrics,
+            faults,
+        }
     }
 
     /// Compile `q` for this engine's cluster size without executing it:
@@ -313,6 +313,39 @@ impl QueryEngine {
         validate_instance(q, instance)?;
         let stats = compiler::Stats::collect(q, instance);
         Ok(compiler::explain(q, stats, self.p as u64))
+    }
+}
+
+/// A run's cluster plus the typed handles of the observers installed on
+/// it (see [`QueryEngine::observed_cluster`]).
+pub(crate) struct ObservedCluster {
+    pub(crate) cluster: Cluster,
+    tracer: Option<Rc<RefCell<Tracer>>>,
+    metrics: Option<Rc<RefCell<MetricsLog>>>,
+    faults: Option<Rc<RefCell<FaultPlane>>>,
+}
+
+impl ObservedCluster {
+    /// Finalize every observer against the ledger: the recovery report
+    /// first, because the trace embeds its events and the metrics
+    /// snapshot its `fault.*` totals.
+    pub(crate) fn finish(
+        self,
+    ) -> (
+        Option<Trace>,
+        Option<MetricsSnapshot>,
+        Option<RecoveryReport>,
+    ) {
+        let ObservedCluster {
+            cluster,
+            tracer,
+            metrics,
+            faults,
+        } = self;
+        let recovery = faults.map(|f| f.borrow_mut().take_report());
+        let trace = tracer.map(|t| t.borrow_mut().finish(&cluster, recovery.as_ref()));
+        let metrics = metrics.map(|m| m.borrow_mut().finish(&cluster, recovery.as_ref()));
+        (trace, metrics, recovery)
     }
 }
 
@@ -480,39 +513,17 @@ impl<S: Semiring> fmt::Display for ExecutionResult<S> {
     }
 }
 
-/// Evaluate `q` on an already-populated cluster; returns the distributed
-/// output and the chosen plan. The cluster's cost ledger accumulates the
-/// run's load.
+/// Evaluate `q` on an already-populated cluster with the structural
+/// (shape-only) dispatch; returns the distributed output and the chosen
+/// plan. The cluster's cost ledger accumulates the run's load.
 pub fn execute_on<S: Semiring>(
     cluster: &mut Cluster,
     q: &TreeQuery,
     rels: &[DistRelation<S>],
 ) -> (DistRelation<S>, PlanKind) {
+    let plan = compiler::heuristic_kind(q);
+    let result = run_forced(cluster, plan, q, rels).expect("the structural pick fits the shape");
     let output: Vec<Attr> = q.output().iter().copied().collect();
-    let (result, plan) = match classify(q) {
-        Shape::FreeConnex => (
-            distributed_yannakakis(cluster, q, rels),
-            PlanKind::FreeConnexYannakakis,
-        ),
-        Shape::MatMul { r1, r2, .. } => {
-            let (out, _) = matmul(cluster, &rels[r1], &rels[r2]);
-            (out, PlanKind::MatMul)
-        }
-        Shape::Line { edges, attrs } => {
-            let chain: Vec<DistRelation<S>> = edges.iter().map(|&e| rels[e].clone()).collect();
-            (line_query(cluster, &chain, &attrs), PlanKind::Line)
-        }
-        Shape::Star { center, arms } => {
-            let ordered: Vec<DistRelation<S>> = arms.iter().map(|&e| rels[e].clone()).collect();
-            let endpoints: Vec<Attr> = arms.iter().map(|&e| q.edges()[e].other(center)).collect();
-            (
-                star_query(cluster, &ordered, center, &endpoints),
-                PlanKind::Star,
-            )
-        }
-        Shape::StarLike(_) => (star_like_query(cluster, q, rels), PlanKind::StarLike),
-        Shape::Twig | Shape::General => (tree_query(cluster, q, rels), PlanKind::Tree),
-    };
     (normalize(result, &output), plan)
 }
 
@@ -680,7 +691,7 @@ mod tests {
             Relation::<Count>::binary_ones(B, C, (0..50u64).map(|i| (i % 7, i % 12))),
         ];
         for choice in [
-            PlanChoice::Auto,
+            PlanChoice::CostBased,
             PlanChoice::Baseline,
             PlanChoice::Force(PlanKind::Tree),
         ] {

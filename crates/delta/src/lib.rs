@@ -27,7 +27,7 @@
 //!   semiring ([`Maintainability::InsertOnly`]);
 //! * **deletes** additionally need additive inverses: a delete is the
 //!   insert of a negated annotation, which exists exactly when
-//!   [`Semiring::HAS_SUBTRACTION`] holds (`Count`, `SumInt`, `XorRing` —
+//!   [`mpcjoin_semiring::Semiring::HAS_SUBTRACTION`] holds (`Count`, `SumInt`, `XorRing` —
 //!   [`Maintainability::RingDelta`]);
 //! * **deletes over idempotent semirings** (`BoolRing`, `TropicalMin`)
 //!   are not invertible — `a ⊕ a = a` forbids inverses — so the view is

@@ -2,12 +2,14 @@
 //!
 //! A [`CancelToken`] carries a caller's intent to stop a run: an explicit
 //! [`CancelToken::cancel`] call, a wall-clock deadline, or (for tests) a
-//! deterministic round trigger. The token is installed on a cluster's
-//! shared ledger ([`crate::Cluster::install_cancel`]) so sub-clusters
-//! created by `split` observe it too, and it is checked at **round
-//! boundaries only** — the top of [`crate::Cluster::exchange`] and
-//! [`crate::Cluster::broadcast`], before any delivery or fault-plane work
-//! for that round happens.
+//! deterministic round trigger. The token is a
+//! [`crate::observe::RoundObserver`]: installed with
+//! [`crate::Cluster::observe`] (sub-clusters created by `split` share
+//! it), it is polled at **round boundaries only** — the top of
+//! [`crate::Cluster::exchange`] and [`crate::Cluster::broadcast`], before
+//! any delivery of that round. Observers are consulted in installation
+//! order and the first stop wins, so a token installed first (as
+//! `QueryEngine` does) also pre-empts that round's fault-plane work.
 //!
 //! Firing at a round boundary is what makes cancellation safe: no
 //! partially-delivered exchange ever exists, so discarding the run leaves
@@ -23,6 +25,7 @@
 //! A process-wide panic hook shim keeps cancellation unwinds silent while
 //! delegating every real panic to the previously-installed hook.
 
+use crate::observe::{Proceed, RoundCtx, RoundObserver};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once};
@@ -111,6 +114,12 @@ impl CancelToken {
     }
 }
 
+impl RoundObserver for CancelToken {
+    fn before_round(&mut self, ctx: &RoundCtx<'_>, _: usize) -> Result<Proceed, CancelCause> {
+        self.fired(ctx.round).map_or(Ok(Proceed::default()), Err)
+    }
+}
+
 /// The payload a cancelled run unwinds with: which round boundary fired
 /// and why. Convert to an [`crate::MpcError`] with
 /// [`CancelSignal::to_error`].
@@ -153,7 +162,7 @@ fn install_silent_hook() {
 }
 
 /// Unwind the current run with a cancellation signal. Called by the
-/// cluster at a round boundary once an installed token fires; callers
+/// cluster at a round boundary once an observer stops the run; callers
 /// recover the signal with [`catch_cancel`].
 pub(crate) fn cancel_unwind(round: u64, cause: CancelCause) -> ! {
     install_silent_hook();

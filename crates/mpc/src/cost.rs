@@ -9,15 +9,12 @@
 //!
 //! [`CostTracker`] is the single ledger for a simulation: every
 //! [`crate::Cluster::exchange`] credits incoming units to a
-//! `(physical server, round)` cell, and [`CostReport`] summarizes the run.
+//! `(physical server, round)` cell — once per destination per event, from
+//! the same received-vector the [`crate::observe`] seam shows its
+//! observers — and [`CostReport`] summarizes the run. The ledger knows
+//! nothing about tracing, metrics, faults or cancellation.
 
-use crate::cancel::{CancelCause, CancelToken};
-use crate::fault::{FaultPlan, FaultPlane, RecoveryReport};
-use crate::metrics::{LoadSummary, MetricsLog, MetricsSnapshot};
-use crate::trace::{ComputeSpan, EventKind, Trace, TraceEvent, TraceLog};
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// Mutable ledger of received units per `(physical server, global round)`.
@@ -33,26 +30,6 @@ pub struct CostTracker {
     /// from here. Wall-clock time is *instrumentation only* — it never
     /// feeds back into loads or routing, which stay deterministic.
     started: Instant,
-    /// Execution trace recording state; `None` (the default) disables
-    /// tracing entirely — the ledger then takes the exact pre-trace code
-    /// paths and pays nothing. See [`crate::trace`].
-    trace: Option<TraceLog>,
-    /// Metrics registry; `None` (the default) disables metrics
-    /// collection. See [`crate::metrics`].
-    metrics: Option<MetricsLog>,
-    /// Installed fault plane; `None` (the default) disables fault
-    /// injection entirely — exchanges then take the exact fault-free
-    /// code paths. See [`crate::fault`].
-    fault: Option<FaultPlane>,
-    /// Installed cancellation token; `None` (the default) disables the
-    /// round-boundary cancellation checks entirely. Lives on the shared
-    /// ledger so sub-clusters observe the caller's token too. See
-    /// [`crate::cancel`].
-    cancel: Option<CancelToken>,
-    /// Operation-scope label stack (see [`crate::Cluster::op`]); shared by
-    /// tracing, metrics, and the fault plane, and only pushed to while at
-    /// least one of them is enabled.
-    op_stack: Vec<String>,
 }
 
 impl Default for CostTracker {
@@ -63,26 +40,11 @@ impl Default for CostTracker {
             total_units: 0,
             phases: Vec::new(),
             started: Instant::now(),
-            trace: None,
-            metrics: None,
-            fault: None,
-            cancel: None,
-            op_stack: Vec::new(),
         }
     }
 }
 
-/// Shared handle to a [`CostTracker`]; clusters and their sub-clusters all
-/// write to the same ledger so that logically-parallel work is accounted on
-/// the same round timeline.
-pub type SharedTracker = Rc<RefCell<CostTracker>>;
-
 impl CostTracker {
-    /// A fresh ledger wrapped for sharing.
-    pub fn shared() -> SharedTracker {
-        Rc::new(RefCell::new(CostTracker::default()))
-    }
-
     /// Credit `units` received by `server` during `round`.
     pub fn credit(&mut self, server: usize, round: u64, units: u64) {
         if units == 0 {
@@ -140,349 +102,23 @@ impl CostTracker {
         self.phases.push((round, label.to_string(), Instant::now()));
     }
 
-    /// Begin recording an execution trace over `servers` physical servers.
-    /// Idempotent: a second call while recording is a no-op (sub-clusters
-    /// share this ledger and must not restart their parent's trace).
-    pub fn enable_tracing(&mut self, servers: usize) {
-        if self.trace.is_none() {
-            self.trace = Some(TraceLog::new(servers));
-        }
+    /// The phase an event recorded now would be attributed to.
+    pub fn current_phase(&self) -> &str {
+        self.phases.last().map_or("(preamble)", |(_, l, _)| l)
     }
 
-    /// Whether an execution trace is being recorded.
-    pub fn tracing_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
-    /// Physical-server dimension of the active trace (0 when disabled).
-    pub fn trace_servers(&self) -> usize {
-        self.trace.as_ref().map_or(0, |t| t.servers)
-    }
-
-    /// Push a label onto the operation-scope stack; returns whether the
-    /// push happened (i.e. tracing or metrics is on), so RAII guards know
-    /// whether to pop. See [`crate::Cluster::op`].
-    pub fn push_op(&mut self, label: &str) -> bool {
-        if self.trace.is_some() || self.metrics.is_some() || self.fault.is_some() {
-            self.op_stack.push(label.to_string());
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Pop the innermost operation-scope label.
-    pub fn pop_op(&mut self) {
-        self.op_stack.pop();
-    }
-
-    /// The current operation-scope path (`"(unlabeled)"` outside any
-    /// scope).
-    fn op_label(&self) -> String {
-        if self.op_stack.is_empty() {
-            "(unlabeled)".to_string()
-        } else {
-            self.op_stack.join("/")
-        }
-    }
-
-    /// Whether any instrumentation (tracing or metrics) wants per-event
-    /// received vectors from [`crate::Cluster::exchange`].
-    pub fn instrumented(&self) -> bool {
-        self.trace.is_some() || self.metrics.is_some()
-    }
-
-    /// Begin collecting metrics over `servers` physical servers.
-    /// Idempotent, like [`CostTracker::enable_tracing`].
-    pub fn enable_metrics(&mut self, servers: usize) {
-        if self.metrics.is_none() {
-            self.metrics = Some(MetricsLog::new(servers));
-        }
-    }
-
-    /// Whether a metrics registry is collecting.
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics.is_some()
-    }
-
-    /// Physical-server dimension of the instrumentation (0 when neither
-    /// tracing nor metrics is on).
-    pub fn instrument_servers(&self) -> usize {
-        self.trace_servers()
-            .max(self.metrics.as_ref().map_or(0, |m| m.servers))
-    }
-
-    /// Record one communication event into the metrics registry:
-    /// `received[s]` units arrived at physical server `s`. No-op when
-    /// metrics are off.
-    pub fn record_metrics_event(&mut self, kind: EventKind, received: &[u64]) {
-        let label = self.op_label();
-        if let Some(m) = &mut self.metrics {
-            let counter = match kind {
-                EventKind::Exchange => "events.exchange",
-                EventKind::Broadcast => "events.broadcast",
-            };
-            m.record_event(counter, &label, received);
-        }
-    }
-
-    /// Stop collecting metrics and hand back the finalized snapshot
-    /// (ledger gauges and phase wall-clocks sampled now). `None` if
-    /// metrics were never enabled.
-    pub fn take_metrics(&mut self) -> Option<MetricsSnapshot> {
-        let log = self.metrics.take()?;
+    /// The phase marks in order: `(first round, label, wall clock spent
+    /// in the phase — up to the next mark, or to now for the last one)`.
+    pub fn phase_marks(&self) -> Vec<(u64, String, Duration)> {
         let now = Instant::now();
-        let report = self.report();
-        let gauges = vec![
-            ("elapsed_ns".to_string(), report.elapsed.as_nanos() as f64),
-            ("load".to_string(), report.load as f64),
-            ("rounds".to_string(), report.rounds as f64),
-            ("total_units".to_string(), report.total_units as f64),
-        ];
-        let phase_wall = self
-            .phases
+        self.phases
             .iter()
             .enumerate()
-            .map(|(i, (_, label, at))| {
+            .map(|(i, (round, label, at))| {
                 let until = self.phases.get(i + 1).map_or(now, |(_, _, next)| *next);
-                (label.clone(), until.saturating_duration_since(*at))
+                (*round, label.clone(), until.saturating_duration_since(*at))
             })
-            .collect();
-        Some(MetricsSnapshot {
-            servers: log.servers,
-            counters: log.counters.into_iter().collect(),
-            gauges,
-            per_primitive: log.per_primitive.into_iter().collect(),
-            event_units: log.event_units,
-            received: LoadSummary::of(&log.per_server),
-            per_server: log.per_server,
-            phase_wall,
-        })
-    }
-
-    /// Install a fault plane driving seeded fault injection over
-    /// `servers` physical servers. Idempotent, like
-    /// [`CostTracker::enable_tracing`]: sub-clusters share this ledger
-    /// and must not reset their parent's plane.
-    pub fn install_faults(&mut self, plan: FaultPlan, servers: usize) {
-        if self.fault.is_none() {
-            self.fault = Some(FaultPlane::new(plan, servers));
-        }
-    }
-
-    /// Whether a fault plane is installed.
-    pub fn faults_installed(&self) -> bool {
-        self.fault.is_some()
-    }
-
-    /// Install a cancellation token checked at round boundaries.
-    /// Idempotent, like [`CostTracker::install_faults`]: sub-clusters
-    /// share this ledger and must not replace their parent's token.
-    pub fn install_cancel(&mut self, token: CancelToken) {
-        if self.cancel.is_none() {
-            self.cancel = Some(token);
-        }
-    }
-
-    /// Whether a cancellation token is installed.
-    pub fn cancel_installed(&self) -> bool {
-        self.cancel.is_some()
-    }
-
-    /// Poll the installed token at the round boundary `round`; `None`
-    /// when no token is installed or the token has not fired.
-    pub fn cancel_fired(&self, round: u64) -> Option<CancelCause> {
-        self.cancel.as_ref().and_then(|t| t.fired(round))
-    }
-
-    /// `Some((round, detail))` once the installed plane has given up on
-    /// recovery; `None` while healthy (or when no plane is installed).
-    pub fn fault_failed(&self) -> Option<(u64, String)> {
-        self.fault
-            .as_ref()
-            .and_then(|p| p.report.unrecoverable.clone())
-    }
-
-    /// Uninstall the fault plane and hand back everything it did.
-    /// `None` if no plane was ever installed.
-    pub fn take_recovery(&mut self) -> Option<RecoveryReport> {
-        self.fault.take().map(|p| p.report)
-    }
-
-    /// Run the fault plane's reliable-delivery simulation for one
-    /// exchange of `n` messages at `round`; returns the wall-clock delay
-    /// the round must absorb (stragglers + retry backoff). No-op
-    /// `Duration::ZERO` when no plane is installed.
-    ///
-    /// Recovery actions are mirrored into the metrics registry (when
-    /// enabled) under `fault.*` counters; the cost ledger is never
-    /// touched — see [`crate::fault`] for why.
-    pub fn fault_exchange(&mut self, round: u64, n: usize) -> Duration {
-        if self.fault.is_none() {
-            return Duration::ZERO;
-        }
-        let phase = self.current_phase();
-        let label = self.op_label();
-        let plane = self.fault.as_mut().expect("checked above");
-        let before = fault_counters(&plane.report);
-        let delays = plane.on_exchange(round, n, &phase, &label);
-        let after = fault_counters(&plane.report);
-        self.bump_fault_metrics(before, after);
-        delays.total
-    }
-
-    /// Run the fault plane's transient local-compute fault simulation at
-    /// `round`; returns the retry backoff delay to absorb. No-op when no
-    /// plane is installed.
-    pub fn fault_compute(&mut self, round: u64) -> Duration {
-        if self.fault.is_none() {
-            return Duration::ZERO;
-        }
-        let phase = self.current_phase();
-        let label = self.op_label();
-        let plane = self.fault.as_mut().expect("checked above");
-        let before = fault_counters(&plane.report);
-        let delays = plane.on_compute(round, &phase, &label);
-        let after = fault_counters(&plane.report);
-        self.bump_fault_metrics(before, after);
-        delays.total
-    }
-
-    /// Mark the run unrecoverable for a reason outside the fault
-    /// schedule (hardened contract violations report instead of
-    /// panicking when a plane is installed). No-op without a plane.
-    pub fn fault_poison(&mut self, round: u64, detail: String) {
-        let phase = self.current_phase();
-        let label = self.op_label();
-        if let Some(plane) = &mut self.fault {
-            plane.poison(round, &phase, &label, detail);
-        }
-    }
-
-    fn bump_fault_metrics(&mut self, before: [u64; 6], after: [u64; 6]) {
-        if let Some(m) = &mut self.metrics {
-            const KEYS: [&str; 6] = [
-                "fault.retries",
-                "fault.messages_dropped",
-                "fault.messages_duplicated",
-                "fault.rounds_replayed",
-                "fault.compute_retries",
-                "fault.servers_lost",
-            ];
-            for (i, key) in KEYS.iter().enumerate() {
-                if after[i] > before[i] {
-                    m.bump(key, after[i] - before[i]);
-                }
-            }
-        }
-    }
-
-    /// Snapshot the ledger and every instrumentation stream for a
-    /// round-boundary checkpoint (see [`crate::Cluster::checkpoint`]).
-    pub fn cursor(&self) -> LedgerCursor {
-        LedgerCursor {
-            cells: self.cells.clone(),
-            max_round_used: self.max_round_used,
-            total_units: self.total_units,
-            phases: self.phases.clone(),
-            trace_events: self.trace.as_ref().map_or(0, |t| t.events.len()),
-            trace_compute: self.trace.as_ref().map_or(0, |t| t.compute.len()),
-            metrics: self.metrics.clone(),
-            fault: self.fault.clone(),
-            op_stack: self.op_stack.clone(),
-        }
-    }
-
-    /// Roll the ledger and instrumentation back to `cursor`. Everything
-    /// credited, recorded, or drawn (fault-plane RNG included) since the
-    /// matching [`CostTracker::cursor`] call is discarded, so a replay
-    /// from the checkpoint re-produces the exact same stream.
-    pub fn rollback(&mut self, cursor: LedgerCursor) {
-        self.cells = cursor.cells;
-        self.max_round_used = cursor.max_round_used;
-        self.total_units = cursor.total_units;
-        self.phases = cursor.phases;
-        if let Some(t) = &mut self.trace {
-            t.events.truncate(cursor.trace_events);
-            t.compute.truncate(cursor.trace_compute);
-        }
-        self.metrics = cursor.metrics;
-        self.fault = cursor.fault;
-        self.op_stack = cursor.op_stack;
-    }
-
-    /// The phase an event recorded now would be attributed to.
-    fn current_phase(&self) -> String {
-        self.phases
-            .last()
-            .map_or_else(|| "(preamble)".to_string(), |(_, l, _)| l.clone())
-    }
-
-    /// Record one communication event from its physical-server traffic
-    /// matrix. No-op when tracing is off or the event carried no units
-    /// (mirroring the ledger, which ignores zero credits).
-    pub fn record_event(&mut self, round: u64, kind: EventKind, traffic: Vec<Vec<u64>>) {
-        let at = self.started.elapsed();
-        let phase = self.current_phase();
-        let label = self.op_label();
-        if let Some(t) = &mut self.trace {
-            let received: Vec<u64> = (0..t.servers)
-                .map(|d| traffic.iter().map(|row| row[d]).sum())
-                .collect();
-            if received.iter().all(|&u| u == 0) {
-                return;
-            }
-            t.events.push(TraceEvent {
-                round,
-                kind,
-                label,
-                phase,
-                received,
-                traffic,
-                at,
-            });
-        }
-    }
-
-    /// Record a timed span of backend-executed local computation. No-op
-    /// when neither tracing nor metrics is on.
-    pub fn record_compute(&mut self, round: u64, tasks: usize, elapsed: Duration) {
-        let phase = self.current_phase();
-        let label = self.op_label();
-        if let Some(m) = &mut self.metrics {
-            m.bump("compute.spans", 1);
-            m.bump("compute.tasks", tasks as u64);
-        }
-        if let Some(t) = &mut self.trace {
-            t.compute.push(ComputeSpan {
-                label,
-                phase,
-                round,
-                tasks,
-                elapsed,
-            });
-        }
-    }
-
-    /// Stop tracing and hand back the finalized [`Trace`] (ledger totals
-    /// snapshotted now). `None` if tracing was never enabled.
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        let log = self.trace.take()?;
-        Some(Trace {
-            servers: log.servers,
-            cost: self.report(),
-            phases: self
-                .phases
-                .iter()
-                .map(|(r, l, _)| (*r, l.clone()))
-                .collect(),
-            events: log.events,
-            compute: log.compute,
-            recovery: self
-                .fault
-                .as_ref()
-                .map_or_else(Vec::new, |p| p.report.events.clone()),
-        })
+            .collect()
     }
 
     /// Per-phase summaries: for each labeled phase, the load / rounds /
@@ -490,7 +126,6 @@ impl CostTracker {
     /// first mark are reported under `"(preamble)"` when they carry
     /// traffic.
     pub fn phase_reports(&self) -> Vec<PhaseReport> {
-        let now = Instant::now();
         let mut spans: Vec<(u64, u64, String, Duration)> = Vec::new();
         if let Some((first, _, at)) = self.phases.first() {
             if *first > 0 {
@@ -502,19 +137,12 @@ impl CostTracker {
                 ));
             }
         }
-        for (i, (start, label, at)) in self.phases.iter().enumerate() {
-            let (end, until) = self
+        for (i, (start, label, elapsed)) in self.phase_marks().into_iter().enumerate() {
+            let end = self
                 .phases
                 .get(i + 1)
-                .map_or((self.max_round_used, now), |(next, _, next_at)| {
-                    (*next, *next_at)
-                });
-            spans.push((
-                *start,
-                end.max(*start),
-                label.clone(),
-                until.saturating_duration_since(*at),
-            ));
+                .map_or(self.max_round_used, |(next, _, _)| *next);
+            spans.push((start, end.max(start), label, elapsed));
         }
         spans
             .into_iter()
@@ -540,36 +168,6 @@ impl CostTracker {
             })
             .collect()
     }
-}
-
-/// The fault-plane counters mirrored into metrics, in a fixed order
-/// (retries, dropped, duplicated, replays, compute retries, crashes).
-fn fault_counters(r: &RecoveryReport) -> [u64; 6] {
-    [
-        r.retries,
-        r.messages_dropped,
-        r.messages_duplicated,
-        r.rounds_replayed,
-        r.compute_retries,
-        r.servers_lost.len() as u64,
-    ]
-}
-
-/// An opaque snapshot of the ledger and all instrumentation streams
-/// (trace/metrics cursors, fault-plane RNG state), taken at a round
-/// boundary by [`CostTracker::cursor`] and restored by
-/// [`CostTracker::rollback`]. Part of a [`crate::Checkpoint`].
-#[derive(Clone, Debug)]
-pub struct LedgerCursor {
-    cells: HashMap<(usize, u64), u64>,
-    max_round_used: u64,
-    total_units: u64,
-    phases: Vec<(u64, String, Instant)>,
-    trace_events: usize,
-    trace_compute: usize,
-    metrics: Option<MetricsLog>,
-    fault: Option<FaultPlane>,
-    op_stack: Vec<String>,
 }
 
 /// One labeled phase of a run: its round span and the costs incurred in

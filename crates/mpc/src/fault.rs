@@ -2,10 +2,11 @@
 //! simulation, and recovery reporting for the MPC simulator.
 //!
 //! The MPC model of §1.3 assumes fail-free servers; a production cluster
-//! does not get that luxury. This module adds an opt-in *fault plane*
-//! underneath [`crate::Cluster::exchange`] — the simulator's single
-//! data-movement operation — that models the reliable-delivery layer a
-//! real deployment would run on lossy hardware:
+//! does not get that luxury. This module adds an opt-in *fault plane* —
+//! a [`crate::observe::RoundObserver`] at the boundary of
+//! [`crate::Cluster::exchange`], the simulator's single data-movement
+//! operation — that models the reliable-delivery layer a real deployment
+//! would run on lossy hardware:
 //!
 //! * every message in a round carries a **sequence number**; receivers
 //!   acknowledge, deduplicate, and resequence by it,
@@ -14,10 +15,10 @@
 //! * **duplicated** deliveries are discarded by the dedup buffer,
 //! * **reordered** deliveries are corrected by the resequencing buffer,
 //! * a **crash-stop** server failure at a round boundary voids the
-//!   in-flight round; the round is *replayed* from the round-boundary
-//!   checkpoint (see [`crate::Cluster::checkpoint`]) and the lost
-//!   physical server's slots are deterministically rehashed onto the
-//!   surviving `p − f` servers,
+//!   in-flight round; the round is *replayed* from the sender-side
+//!   buffer (the simulation works on message sequence numbers, see
+//!   [`FaultPlane`]) and the lost physical server's slots are
+//!   deterministically rehashed onto the surviving `p − f` servers,
 //! * **stragglers** delay a round's completion — visible in wall-clock
 //!   spans only, never in the cost ledger,
 //! * transient **local-compute faults** are retried by the same policy.
@@ -47,8 +48,9 @@
 //! instead of a result — never a panic.
 
 use crate::json::Json;
+use crate::observe::{Proceed, RoundCtx, RoundObserver};
 use crate::rng::DetRng;
-use crate::MpcError;
+use crate::{CancelCause, MpcError};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::time::Duration;
@@ -81,7 +83,7 @@ impl Default for RetryPolicy {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultKind {
     /// Crash-stop failure of a physical server at the round boundary:
-    /// the in-flight round is voided and replayed from the checkpoint,
+    /// the in-flight round is voided and replayed from the sender-side buffer,
     /// and the server's logical slots are rehashed onto survivors.
     /// Ignored when it would leave no survivor (a 1-server cluster).
     Crash {
@@ -157,8 +159,8 @@ impl FaultSpec {
 /// A deterministic, seeded schedule of faults — the fault plane's DSL.
 ///
 /// Build one with the chainable constructors and install it with
-/// `QueryEngine::faults` (or [`crate::Cluster::install_faults`] when
-/// driving a cluster directly):
+/// `QueryEngine::faults` (or as a [`FaultPlane`] through
+/// [`crate::Cluster::observe`] when driving a cluster directly):
 ///
 /// ```
 /// use mpcjoin_mpc::fault::FaultPlan;
@@ -412,7 +414,7 @@ pub enum RecoveryKind {
     Dedup,
     /// Out-of-order deliveries were restored by the resequencing buffer.
     Resequence,
-    /// A crashed server's round was replayed from the checkpoint and its
+    /// A crashed server's round was replayed from the sender-side buffer and its
     /// slots rehashed onto a survivor.
     CrashReplay,
     /// A straggling server delayed the round barrier.
@@ -485,14 +487,14 @@ impl RecoveryEvent {
 
 /// What the fault plane did over a whole run: every injected fault and
 /// every recovery action, aggregated — plus the verdict. Returned by
-/// [`crate::Cluster::take_recovery`] and surfaced on `ExecutionResult`.
+/// [`FaultPlane::take_report`] and surfaced on `ExecutionResult`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Individual fault injections that actually perturbed something.
     pub faults_injected: u64,
     /// Transient retransmission rounds (retries) performed.
     pub retries: u64,
-    /// Rounds replayed from a checkpoint after a crash.
+    /// Rounds replayed from the sender-side buffer after a crash.
     pub rounds_replayed: u64,
     /// Messages dropped in flight (across all attempts).
     pub messages_dropped: u64,
@@ -623,11 +625,14 @@ impl fmt::Display for RecoveryReport {
     }
 }
 
-/// The runtime state of an installed fault plane. Owned by the shared
-/// `CostTracker` so sub-clusters created by [`crate::Cluster::split`]
-/// share one plane, exactly like tracing and metrics.
-#[derive(Clone, Debug)]
-pub(crate) struct FaultPlane {
+/// The runtime state of a fault plane: install with
+/// [`crate::Cluster::observe`] (sub-clusters created by
+/// [`crate::Cluster::split`] share the one plane and its seeded draw
+/// stream), read the verdict back with [`FaultPlane::take_report`]. With a
+/// plane installed a corrupted exchange destination is reported through
+/// it (the run becomes unrecoverable) instead of aborting the process.
+#[derive(Debug)]
+pub struct FaultPlane {
     plan: FaultPlan,
     rng: DetRng,
     /// Physical-server dimension (for crash rehash).
@@ -639,18 +644,13 @@ pub(crate) struct FaultPlane {
     /// Indices into `plan.faults` of one-shot specs (crash, compute)
     /// already applied.
     applied: BTreeSet<usize>,
-    pub(crate) report: RecoveryReport,
-}
-
-/// Wall-clock delays an exchange or compute span must absorb, returned
-/// to the cluster so sleeping happens outside the tracker borrow.
-#[derive(Debug, Default)]
-pub(crate) struct FaultDelays {
-    pub(crate) total: Duration,
+    report: RecoveryReport,
 }
 
 impl FaultPlane {
-    pub(crate) fn new(plan: FaultPlan, servers: usize) -> Self {
+    /// A plane driving `plan` over `servers` physical servers (the
+    /// top-level cluster's `p`).
+    pub fn new(plan: FaultPlan, servers: usize) -> Self {
         let rng = DetRng::seed_from_u64(plan.seed);
         FaultPlane {
             plan,
@@ -661,6 +661,15 @@ impl FaultPlane {
             applied: BTreeSet::new(),
             report: RecoveryReport::default(),
         }
+    }
+
+    /// Hand back everything the plane did, leaving an empty report
+    /// behind. Callers running algorithms directly on a cluster should
+    /// check [`RecoveryReport::unrecoverable`] and refuse to trust the
+    /// output when it is `Some` — `QueryEngine` does this and returns
+    /// [`crate::MpcError::Unrecoverable`].
+    pub fn take_report(&mut self) -> RecoveryReport {
+        std::mem::take(&mut self.report)
     }
 
     /// The deterministic rehash target for a crashed server: the next
@@ -684,35 +693,50 @@ impl FaultPlane {
                 .any(|(i, s)| s.active(round) && !self.applied.contains(&i))
     }
 
-    fn push_event(&mut self, event: RecoveryEvent) {
-        self.report.events.push(event);
+    /// Log one recovery action, attributed to where `ctx` says it
+    /// happened.
+    fn record(
+        &mut self,
+        ctx: &RoundCtx<'_>,
+        attempt: u32,
+        kind: RecoveryKind,
+        server: Option<usize>,
+        units: u64,
+        delay: Duration,
+    ) {
+        self.report.events.push(RecoveryEvent {
+            round: ctx.round,
+            attempt,
+            kind,
+            phase: ctx.phase.to_string(),
+            label: ctx.label.to_string(),
+            server,
+            units,
+            delay,
+        });
     }
 
     /// Simulate the reliable-delivery protocol for one exchange of
-    /// `n` sequence-numbered messages at `round`. Mutates the report;
-    /// returns the wall-clock delay the round must absorb.
+    /// `n` sequence-numbered messages at `ctx.round`. Mutates the report;
+    /// returns the wall-clock delay the round must absorb (the cluster
+    /// sleeps it).
     ///
     /// The protocol operates on message *sequence numbers*: the caller
-    /// retains the round's messages (the round-boundary checkpoint), so
+    /// retains the round's messages (the sender-side buffer), so
     /// retransmission and crash replay re-deliver from that buffer, and
     /// dedup/resequencing restore exactly the faithful `(src, position)`
     /// delivery order — which is why a recovered exchange is
     /// bit-identical to a fault-free one.
-    pub(crate) fn on_exchange(
-        &mut self,
-        round: u64,
-        n: usize,
-        phase: &str,
-        label: &str,
-    ) -> FaultDelays {
-        let mut delays = FaultDelays::default();
+    fn on_exchange(&mut self, ctx: &RoundCtx<'_>, n: usize) -> Duration {
+        let (round, label) = (ctx.round, ctx.label);
+        let mut delays = Duration::ZERO;
         if !self.any_active(round) {
             return delays;
         }
         let policy = self.plan.policy;
 
         // Round-boundary crash-stop failures: the in-flight round is
-        // voided and replayed from the checkpoint; the lost server's
+        // voided and replayed from the sender buffer; the lost server's
         // slots rehash deterministically onto a survivor. Each crash
         // burns one replay, not a transient retry.
         let crashes: Vec<(usize, usize)> = self
@@ -744,16 +768,14 @@ impl FaultPlane {
             self.report.rounds_replayed += 1;
             self.report.retransmitted_units += n as u64;
             self.report.servers_lost.push(server);
-            self.push_event(RecoveryEvent {
-                round,
-                attempt: 0,
-                kind: RecoveryKind::CrashReplay,
-                phase: phase.to_string(),
-                label: label.to_string(),
-                server: Some(server),
-                units: n as u64,
-                delay: Duration::ZERO,
-            });
+            self.record(
+                ctx,
+                0,
+                RecoveryKind::CrashReplay,
+                Some(server),
+                n as u64,
+                Duration::ZERO,
+            );
         }
 
         // Stragglers delay the round barrier (wall clock only).
@@ -772,17 +794,8 @@ impl FaultPlane {
             }
             self.report.faults_injected += 1;
             self.report.straggler_delay += delay;
-            delays.total += delay;
-            self.push_event(RecoveryEvent {
-                round,
-                attempt: 0,
-                kind: RecoveryKind::Straggler,
-                phase: phase.to_string(),
-                label: label.to_string(),
-                server: Some(server),
-                units: 0,
-                delay,
-            });
+            delays += delay;
+            self.record(ctx, 0, RecoveryKind::Straggler, Some(server), 0, delay);
         }
 
         if n == 0 {
@@ -829,16 +842,14 @@ impl FaultPlane {
             }
             self.report.faults_injected += 1;
             self.report.reordered_rounds += 1;
-            self.push_event(RecoveryEvent {
-                round,
-                attempt: 0,
-                kind: RecoveryKind::Resequence,
-                phase: phase.to_string(),
-                label: label.to_string(),
-                server: None,
-                units: n as u64,
-                delay: Duration::ZERO,
-            });
+            self.record(
+                ctx,
+                0,
+                RecoveryKind::Resequence,
+                None,
+                n as u64,
+                Duration::ZERO,
+            );
         }
 
         let mut attempt: u32 = 0;
@@ -860,16 +871,14 @@ impl FaultPlane {
             if duplicates > 0 {
                 self.report.faults_injected += 1;
                 self.report.messages_duplicated += duplicates;
-                self.push_event(RecoveryEvent {
-                    round,
+                self.record(
+                    ctx,
                     attempt,
-                    kind: RecoveryKind::Dedup,
-                    phase: phase.to_string(),
-                    label: label.to_string(),
-                    server: None,
-                    units: duplicates,
-                    delay: Duration::ZERO,
-                });
+                    RecoveryKind::Dedup,
+                    None,
+                    duplicates,
+                    Duration::ZERO,
+                );
             }
             if dropped.is_empty() {
                 break;
@@ -884,17 +893,7 @@ impl FaultPlane {
                     attempt,
                     label,
                 );
-                self.push_event(RecoveryEvent {
-                    round,
-                    attempt,
-                    kind: RecoveryKind::Unrecoverable,
-                    phase: phase.to_string(),
-                    label: label.to_string(),
-                    server: None,
-                    units: dropped.len() as u64,
-                    delay: Duration::ZERO,
-                });
-                self.report.unrecoverable = Some((round, detail));
+                self.fail(ctx, attempt, dropped.len() as u64, detail);
                 break;
             }
             attempt += 1;
@@ -902,17 +901,15 @@ impl FaultPlane {
             self.report.retries += 1;
             self.report.retransmitted_units += dropped.len() as u64;
             self.report.backoff_delay += backoff;
-            delays.total += backoff;
-            self.push_event(RecoveryEvent {
-                round,
+            delays += backoff;
+            self.record(
+                ctx,
                 attempt,
-                kind: RecoveryKind::Retransmit,
-                phase: phase.to_string(),
-                label: label.to_string(),
-                server: None,
-                units: dropped.len() as u64,
-                delay: backoff,
-            });
+                RecoveryKind::Retransmit,
+                None,
+                dropped.len() as u64,
+                backoff,
+            );
             pending = dropped;
         }
         debug_assert!(
@@ -922,9 +919,11 @@ impl FaultPlane {
         delays
     }
 
-    /// Simulate transient failures of a local-compute span at `round`.
-    pub(crate) fn on_compute(&mut self, round: u64, phase: &str, label: &str) -> FaultDelays {
-        let mut delays = FaultDelays::default();
+    /// Simulate transient failures of a local-compute span at
+    /// `ctx.round`; returns the retry backoff to absorb.
+    fn on_compute(&mut self, ctx: &RoundCtx<'_>) -> Duration {
+        let (round, label) = (ctx.round, ctx.label);
+        let mut delays = Duration::ZERO;
         if !self.any_active(round) {
             return delays;
         }
@@ -954,61 +953,74 @@ impl FaultPlane {
                 let backoff = policy.backoff * attempt;
                 self.report.compute_retries += 1;
                 self.report.backoff_delay += backoff;
-                delays.total += backoff;
-                self.push_event(RecoveryEvent {
-                    round,
-                    attempt,
-                    kind: RecoveryKind::ComputeRetry,
-                    phase: phase.to_string(),
-                    label: label.to_string(),
-                    server: None,
-                    units: 1,
-                    delay: backoff,
-                });
+                delays += backoff;
+                self.record(ctx, attempt, RecoveryKind::ComputeRetry, None, 1, backoff);
             }
-            if failures > policy.max_retries && self.report.unrecoverable.is_none() {
+            if failures > policy.max_retries {
                 let detail = format!(
                     "local task still failing after {} retries during `{label}`",
                     policy.max_retries,
                 );
-                self.push_event(RecoveryEvent {
-                    round,
-                    attempt: policy.max_retries,
-                    kind: RecoveryKind::Unrecoverable,
-                    phase: phase.to_string(),
-                    label: label.to_string(),
-                    server: None,
-                    units: 1,
-                    delay: Duration::ZERO,
-                });
-                self.report.unrecoverable = Some((round, detail));
+                self.fail(ctx, policy.max_retries, 1, detail);
             }
         }
         delays
     }
 
-    /// Mark the run unrecoverable for a reason outside the schedule
-    /// (e.g. a corrupted destination surfacing under the plane).
-    pub(crate) fn poison(&mut self, round: u64, phase: &str, label: &str, detail: String) {
+    /// Give up on recovery: log the terminal event and latch the verdict
+    /// (the first failure wins; once failed, the plane stops injecting).
+    fn fail(&mut self, ctx: &RoundCtx<'_>, attempt: u32, units: u64, detail: String) {
         if self.report.unrecoverable.is_none() {
-            self.push_event(RecoveryEvent {
-                round,
-                attempt: 0,
-                kind: RecoveryKind::Unrecoverable,
-                phase: phase.to_string(),
-                label: label.to_string(),
-                server: None,
-                units: 0,
-                delay: Duration::ZERO,
-            });
-            self.report.unrecoverable = Some((round, detail));
+            self.record(
+                ctx,
+                attempt,
+                RecoveryKind::Unrecoverable,
+                None,
+                units,
+                Duration::ZERO,
+            );
+            self.report.unrecoverable = Some((ctx.round, detail));
         }
+    }
+}
+
+/// The plane at the seam: the reliable-delivery simulation decides what
+/// the transport had to do over the round's message sequence and returns
+/// the wall-clock delay to absorb. The delivery the cluster then commits
+/// is the faithful one in all cases, which is why output and ledger are
+/// bit-identical under faults.
+impl RoundObserver for FaultPlane {
+    fn before_round(&mut self, ctx: &RoundCtx<'_>, n: usize) -> Result<Proceed, CancelCause> {
+        Ok(Proceed {
+            delay: self.on_exchange(ctx, n),
+            ..Proceed::default()
+        })
+    }
+
+    fn before_compute(&mut self, ctx: &RoundCtx<'_>) -> Duration {
+        self.on_compute(ctx)
+    }
+
+    /// A violation surfacing under the plane (a corrupted destination)
+    /// makes the run unrecoverable instead of aborting the process.
+    fn violation(&mut self, ctx: &RoundCtx<'_>, detail: &str) -> bool {
+        self.fail(ctx, 0, 0, detail.to_string());
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A context at `round` (phase and label are attribution only).
+    fn at(round: u64) -> RoundCtx<'static> {
+        RoundCtx {
+            round,
+            phase: "p",
+            label: "l",
+        }
+    }
 
     #[test]
     fn plan_builder_and_json_roundtrip() {
@@ -1051,8 +1063,8 @@ mod tests {
         let plan = FaultPlan::new(1).drop(5, 0.9);
         let mut plane = FaultPlane::new(plan, 4);
         let before = plane.rng.clone();
-        let d = plane.on_exchange(0, 100, "(preamble)", "sort");
-        assert_eq!(d.total, Duration::ZERO);
+        let d = plane.on_exchange(&at(0), 100);
+        assert_eq!(d, Duration::ZERO);
         assert!(plane.report.is_clean());
         // The seed stream was not advanced by the inactive round.
         let mut a = before;
@@ -1064,7 +1076,7 @@ mod tests {
     fn drops_retry_until_delivered_and_report_counts() {
         let plan = FaultPlan::new(11).drop(0, 0.5).retries(64);
         let mut plane = FaultPlane::new(plan, 4);
-        let _ = plane.on_exchange(0, 200, "p", "l");
+        let _ = plane.on_exchange(&at(0), 200);
         let r = &plane.report;
         assert!(r.recovered());
         assert!(r.retries >= 1);
@@ -1077,7 +1089,7 @@ mod tests {
     fn certain_drop_exhausts_retries_and_is_unrecoverable() {
         let plan = FaultPlan::new(3).drop(0, 1.0).retries(2);
         let mut plane = FaultPlane::new(plan, 4);
-        let _ = plane.on_exchange(0, 10, "p", "l");
+        let _ = plane.on_exchange(&at(0), 10);
         let r = &plane.report;
         assert!(!r.recovered());
         assert_eq!(r.retries, 2);
@@ -1085,15 +1097,15 @@ mod tests {
         assert_eq!(*round, 0);
         assert!(detail.contains("undelivered"));
         // Once failed, the plane stops injecting.
-        let d = plane.on_exchange(1, 10, "p", "l");
-        assert_eq!(d.total, Duration::ZERO);
+        let d = plane.on_exchange(&at(1), 10);
+        assert_eq!(d, Duration::ZERO);
     }
 
     #[test]
     fn duplicates_and_reorders_recover_without_retries() {
         let plan = FaultPlan::new(5).duplicate(0, 1.0).reorder(0);
         let mut plane = FaultPlane::new(plan, 4);
-        let _ = plane.on_exchange(0, 50, "p", "l");
+        let _ = plane.on_exchange(&at(0), 50);
         let r = &plane.report;
         assert!(r.recovered());
         assert_eq!(r.retries, 0);
@@ -1105,9 +1117,9 @@ mod tests {
     fn crash_replays_round_and_rehashes_deterministically() {
         let plan = FaultPlan::new(9).crash(0, 1).crash(2, 2);
         let mut plane = FaultPlane::new(plan, 4);
-        let _ = plane.on_exchange(0, 30, "p", "l");
-        let _ = plane.on_exchange(1, 30, "p", "l");
-        let _ = plane.on_exchange(2, 30, "p", "l");
+        let _ = plane.on_exchange(&at(0), 30);
+        let _ = plane.on_exchange(&at(1), 30);
+        let _ = plane.on_exchange(&at(2), 30);
         let r = plane.report.clone();
         assert!(r.recovered());
         assert_eq!(r.servers_lost, vec![1, 2]);
@@ -1118,8 +1130,8 @@ mod tests {
         assert_eq!(plane.rehash, vec![(1, 2), (2, 3)]);
         // A crash never repeats.
         let mut again = FaultPlane::new(FaultPlan::new(9).crash(0, 1), 4);
-        let _ = again.on_exchange(0, 5, "p", "l");
-        let _ = again.on_exchange(0, 5, "p", "l");
+        let _ = again.on_exchange(&at(0), 5);
+        let _ = again.on_exchange(&at(0), 5);
         assert_eq!(again.report.servers_lost, vec![1]);
     }
 
@@ -1127,7 +1139,7 @@ mod tests {
     fn crash_on_single_server_cluster_is_ignored() {
         let plan = FaultPlan::new(2).crash(0, 0);
         let mut plane = FaultPlane::new(plan, 1);
-        let _ = plane.on_exchange(0, 10, "p", "l");
+        let _ = plane.on_exchange(&at(0), 10);
         assert!(plane.report.is_clean());
         assert!(plane.report.servers_lost.is_empty());
     }
@@ -1136,8 +1148,8 @@ mod tests {
     fn straggler_delay_accumulates_in_wall_clock_only() {
         let plan = FaultPlan::new(4).straggle(0, 2, Duration::from_micros(30));
         let mut plane = FaultPlane::new(plan, 4);
-        let d = plane.on_exchange(0, 10, "p", "l");
-        assert_eq!(d.total, Duration::from_micros(30));
+        let d = plane.on_exchange(&at(0), 10);
+        assert_eq!(d, Duration::from_micros(30));
         assert_eq!(plane.report.straggler_delay, Duration::from_micros(30));
         assert_eq!(plane.report.retries, 0);
     }
@@ -1149,14 +1161,14 @@ mod tests {
             .retries(3)
             .backoff(Duration::from_micros(5));
         let mut plane = FaultPlane::new(plan, 4);
-        let d = plane.on_compute(0, "p", "map");
+        let d = plane.on_compute(&at(0));
         assert_eq!(plane.report.compute_retries, 2);
         // Linear backoff: 5µs + 10µs.
-        assert_eq!(d.total, Duration::from_micros(15));
+        assert_eq!(d, Duration::from_micros(15));
         assert!(plane.report.recovered());
 
         let mut hopeless = FaultPlane::new(FaultPlan::new(6).compute_fault(0, 9).retries(2), 4);
-        let _ = hopeless.on_compute(0, "p", "map");
+        let _ = hopeless.on_compute(&at(0));
         assert!(!hopeless.report.recovered());
         assert_eq!(hopeless.report.compute_retries, 2);
     }
@@ -1167,7 +1179,7 @@ mod tests {
             let plan = FaultPlan::new(77).drop_window(0, 3, 0.4).duplicate(1, 0.3);
             let mut plane = FaultPlane::new(plan, 8);
             for round in 0..3 {
-                let _ = plane.on_exchange(round, 64, "p", "l");
+                let _ = plane.on_exchange(&at(round), 64);
             }
             plane.report
         };
@@ -1178,7 +1190,7 @@ mod tests {
     fn report_json_and_display_cover_verdicts() {
         let plan = FaultPlan::new(3).drop(0, 1.0).retries(1);
         let mut plane = FaultPlane::new(plan, 4);
-        let _ = plane.on_exchange(0, 4, "phase", "label");
+        let _ = plane.on_exchange(&at(0), 4);
         let r = plane.report.clone();
         let doc = Json::parse(&r.to_json().to_string_compact().expect("finite"))
             .expect("report serializes");

@@ -15,24 +15,28 @@
 //! * [`Distributed`] — per-server local state, manipulated freely by local
 //!   Rust code (local computation is uncosted, as in the model),
 //! * [`CostReport`] — the measured `(load, rounds, total traffic)`,
-//! * [`trace`] — opt-in round-level execution tracing
-//!   ([`Cluster::enable_tracing`]): per-exchange traffic matrices,
-//!   primitive/phase labels, and wall-clock compute spans, with a JSON
-//!   export; zero-cost when off,
-//! * [`metrics`] — opt-in aggregate metrics ([`Cluster::enable_metrics`]):
-//!   counters, ledger gauges, log₂ histograms of per-primitive exchange
-//!   volumes, and the per-server received-load distribution
-//!   (p50/p95/max/skew); like tracing, never perturbs the ledger,
-//! * [`fault`] — opt-in deterministic fault injection and recovery
-//!   ([`Cluster::install_faults`]): seeded crash-stop failures, message
+//! * [`observe`] — the one seam everything else hangs off: a
+//!   [`RoundObserver`] installed with [`Cluster::observe`] is consulted
+//!   at every round boundary (`before_round` → deliver → ledger credit →
+//!   `delivered`) and around every local-compute span; the four modules
+//!   below are its implementations, composed in installation order and
+//!   free when none is installed,
+//! * [`trace`] — round-level execution tracing ([`trace::Tracer`]):
+//!   per-exchange traffic matrices, primitive/phase labels, and
+//!   wall-clock compute spans, with a JSON export,
+//! * [`metrics`] — aggregate metrics ([`metrics::MetricsLog`]): counters,
+//!   ledger gauges, log₂ histograms of per-primitive exchange volumes,
+//!   and the per-server received-load distribution (p50/p95/max/skew),
+//! * [`fault`] — deterministic fault injection and recovery
+//!   ([`fault::FaultPlane`]): seeded crash-stop failures, message
 //!   drop/duplication/reordering, stragglers, and transient compute
-//!   faults, recovered by a simulated reliable-delivery layer with
-//!   round-boundary checkpoints ([`Cluster::checkpoint`]); a recovered
-//!   run's output and ledger are bit-identical to the fault-free run,
-//! * [`cancel`] — cooperative cancellation ([`Cluster::install_cancel`]):
-//!   a deadline- or caller-driven [`CancelToken`] polled at round
-//!   boundaries only, so a cancelled run leaves no partially-delivered
-//!   exchange and a rerun is bit-identical to a fresh run,
+//!   faults, recovered by a simulated reliable-delivery layer; a
+//!   recovered run's output and ledger are bit-identical to the
+//!   fault-free run,
+//! * [`cancel`] — cooperative cancellation: a deadline- or caller-driven
+//!   [`CancelToken`] polled at round boundaries only, so a cancelled run
+//!   leaves no partially-delivered exchange and a rerun is bit-identical
+//!   to a fresh run,
 //! * [`primitives`] — the §2.1 toolbox: sorting, reduce-by-key,
 //!   multi-search, prefix sums, parallel-packing,
 //! * [`DistRelation`] — annotated relations partitioned over a cluster,
@@ -76,19 +80,22 @@ pub mod hash;
 pub mod join;
 pub mod json;
 pub mod metrics;
+pub mod observe;
 pub mod primitives;
 pub mod rng;
 pub mod trace;
 
 pub use cancel::{catch_cancel, CancelCause, CancelSignal, CancelToken};
-pub use cluster::{Checkpoint, Cluster, Distributed, OpScope};
-pub use cost::{CostReport, CostTracker, LedgerCursor, PhaseReport};
+pub use cluster::{Cluster, Distributed, OpScope};
+pub use cost::{CostReport, CostTracker, PhaseReport};
 pub use drel::DistRelation;
 pub use error::{MpcError, ERROR_FRAME_SCHEMA};
 pub use exec::{ExecBackend, SerialBackend, ThreadPoolBackend};
 pub use fault::{
-    FaultKind, FaultPlan, FaultSpec, RecoveryEvent, RecoveryKind, RecoveryReport, RetryPolicy,
+    FaultKind, FaultPlan, FaultPlane, FaultSpec, RecoveryEvent, RecoveryKind, RecoveryReport,
+    RetryPolicy,
 };
-pub use metrics::{LoadSummary, LogHistogram, MetricsSnapshot};
+pub use metrics::{LoadSummary, LogHistogram, MetricsLog, MetricsSnapshot};
+pub use observe::RoundObserver;
 pub use rng::DetRng;
-pub use trace::{CriticalCell, Trace, TraceBreakdown, TraceEvent, TraceReport};
+pub use trace::{CriticalCell, Trace, TraceBreakdown, TraceEvent, TraceReport, Tracer};

@@ -9,14 +9,16 @@
 //! cheap enough to leave on for large runs where a full trace would not
 //! fit in memory.
 //!
-//! Metrics are **off by default** ([`crate::Cluster::enable_metrics`]
-//! turns them on) and never perturb the ledger: the instrumented exchange
-//! path accumulates per-destination unit counts and credits their sums,
-//! which by commutativity of `u64` addition produces bit-identical
-//! `(load, rounds, total_units)` to the uninstrumented path. Tests pin
-//! this across execution backends.
+//! Metrics are **off by default** (install a [`MetricsLog`] with
+//! [`crate::Cluster::observe`] to turn them on) and never perturb the
+//! ledger: the registry is shown the same per-destination received-vector
+//! the ledger was credited from, after the fact. Tests pin
+//! `(load, rounds, total_units)` across execution backends.
 
+use crate::fault::RecoveryReport;
 use crate::json::Json;
+use crate::observe::{Delivery, EventKind, RoundCtx, RoundObserver};
+use crate::Cluster;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -174,11 +176,10 @@ impl LoadSummary {
     }
 }
 
-/// The in-flight registry, owned by [`crate::CostTracker`] while metrics
-/// collection is enabled. `Clone` so round-boundary checkpoints (see
-/// [`crate::Cluster::checkpoint`]) can snapshot and restore it.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct MetricsLog {
+/// The in-flight registry: install with [`crate::Cluster::observe`]
+/// before the run, [`MetricsLog::finish`] after it.
+#[derive(Debug, Default)]
+pub struct MetricsLog {
     /// Physical-server dimension of `per_server`.
     pub(crate) servers: usize,
     /// Monotone event counters (`events.exchange`, `events.broadcast`,
@@ -195,7 +196,9 @@ pub(crate) struct MetricsLog {
 }
 
 impl MetricsLog {
-    pub(crate) fn new(servers: usize) -> Self {
+    /// A registry over `servers` physical servers (the top-level
+    /// cluster's `p`).
+    pub fn new(servers: usize) -> Self {
         MetricsLog {
             servers,
             per_server: vec![0; servers],
@@ -226,10 +229,73 @@ impl MetricsLog {
             }
         }
     }
+
+    /// Hand back the finalized snapshot: the registry plus the ledger
+    /// gauges and phase wall-clocks of `cluster` sampled now, and the
+    /// `fault.*` counters of the run's fault plane, if one was installed
+    /// (only the ones that fired, as counters are created on first bump).
+    pub fn finish(
+        &mut self,
+        cluster: &Cluster,
+        recovery: Option<&RecoveryReport>,
+    ) -> MetricsSnapshot {
+        let mut log = std::mem::take(self);
+        if let Some(r) = recovery {
+            for (key, total) in [
+                ("fault.retries", r.retries),
+                ("fault.messages_dropped", r.messages_dropped),
+                ("fault.messages_duplicated", r.messages_duplicated),
+                ("fault.rounds_replayed", r.rounds_replayed),
+                ("fault.compute_retries", r.compute_retries),
+                ("fault.servers_lost", r.servers_lost.len() as u64),
+            ] {
+                if total > 0 {
+                    log.bump(key, total);
+                }
+            }
+        }
+        let ledger = cluster.ledger();
+        let report = ledger.report();
+        let gauges = vec![
+            ("elapsed_ns".to_string(), report.elapsed.as_nanos() as f64),
+            ("load".to_string(), report.load as f64),
+            ("rounds".to_string(), report.rounds as f64),
+            ("total_units".to_string(), report.total_units as f64),
+        ];
+        MetricsSnapshot {
+            servers: log.servers,
+            counters: log.counters.into_iter().collect(),
+            gauges,
+            per_primitive: log.per_primitive.into_iter().collect(),
+            event_units: log.event_units,
+            received: LoadSummary::of(&log.per_server),
+            per_server: log.per_server,
+            phase_wall: ledger
+                .phase_marks()
+                .into_iter()
+                .map(|(_, label, wall)| (label, wall))
+                .collect(),
+        }
+    }
+}
+
+impl RoundObserver for MetricsLog {
+    fn delivered(&mut self, ctx: &RoundCtx<'_>, d: &Delivery<'_>) {
+        let counter = match d.kind {
+            EventKind::Exchange => "events.exchange",
+            EventKind::Broadcast => "events.broadcast",
+        };
+        self.record_event(counter, ctx.label, d.received);
+    }
+
+    fn computed(&mut self, _: &RoundCtx<'_>, tasks: usize, _: Duration) {
+        self.bump("compute.spans", 1);
+        self.bump("compute.tasks", tasks as u64);
+    }
 }
 
 /// A finalized, immutable snapshot of the metrics registry (see
-/// [`crate::Cluster::take_metrics`]).
+/// [`MetricsLog::finish`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct MetricsSnapshot {
     /// Physical server count.

@@ -12,8 +12,8 @@
 //! Tracing is **off by default and zero-cost when disabled**: with tracing
 //! off, the simulator takes the exact code paths it always took and the
 //! measured `(load, rounds, total_units)` is bit-identical across
-//! backends and thread counts. With tracing on (see
-//! [`crate::Cluster::enable_tracing`]), the same quantities are measured
+//! backends and thread counts. With a [`Tracer`] installed (see
+//! [`crate::Cluster::observe`]), the same quantities are measured
 //! *and* every unit is attributable: the per-label and per-phase
 //! breakdowns of [`TraceReport`] sum to the ledger totals, and
 //! [`Trace::critical_round`] names the `(server, round, label)` cell that
@@ -34,27 +34,11 @@
 use crate::cost::CostReport;
 use crate::fault::{RecoveryEvent, RecoveryReport};
 use crate::json::Json;
+pub use crate::observe::EventKind;
+use crate::observe::{Delivery, Proceed, RoundCtx, RoundObserver};
+use crate::{CancelCause, Cluster};
 use std::collections::HashMap;
-use std::time::Duration;
-
-/// Which cluster operation produced a [`TraceEvent`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EventKind {
-    /// A point-to-point [`crate::Cluster::exchange`].
-    Exchange,
-    /// A [`crate::Cluster::broadcast`] (every server receives everything).
-    Broadcast,
-}
-
-impl EventKind {
-    /// Stable lowercase name (used in the JSON export).
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::Exchange => "exchange",
-            EventKind::Broadcast => "broadcast",
-        }
-    }
-}
+use std::time::{Duration, Instant};
 
 /// One costed communication step. Equality ignores the wall-clock `at`
 /// field, so traces from different execution backends compare equal —
@@ -123,26 +107,84 @@ impl PartialEq for ComputeSpan {
 
 impl Eq for ComputeSpan {}
 
-/// The in-flight recording state, owned by [`crate::CostTracker`] while
-/// tracing is enabled.
-#[derive(Debug, Default)]
-pub(crate) struct TraceLog {
-    pub(crate) servers: usize,
-    pub(crate) events: Vec<TraceEvent>,
-    pub(crate) compute: Vec<ComputeSpan>,
+/// The recording observer: install with [`crate::Cluster::observe`]
+/// before the run, [`Tracer::finish`] after it.
+#[derive(Debug)]
+pub struct Tracer {
+    servers: usize,
+    started: Instant,
+    events: Vec<TraceEvent>,
+    compute: Vec<ComputeSpan>,
 }
 
-impl TraceLog {
-    pub(crate) fn new(servers: usize) -> Self {
-        TraceLog {
+impl Tracer {
+    /// A tracer over `servers` physical servers (the top-level
+    /// cluster's `p`).
+    pub fn new(servers: usize) -> Self {
+        Tracer {
             servers,
+            started: Instant::now(),
             events: Vec::new(),
             compute: Vec::new(),
         }
     }
+
+    /// Hand back the finalized [`Trace`]: the recorded events plus the
+    /// ledger totals and phase marks of `cluster` as of now, and the
+    /// recovery events of the run's fault plane, if one was installed.
+    pub fn finish(&mut self, cluster: &Cluster, recovery: Option<&RecoveryReport>) -> Trace {
+        let ledger = cluster.ledger();
+        Trace {
+            servers: self.servers,
+            cost: ledger.report(),
+            phases: ledger
+                .phase_marks()
+                .into_iter()
+                .map(|(round, label, _)| (round, label))
+                .collect(),
+            events: std::mem::take(&mut self.events),
+            compute: std::mem::take(&mut self.compute),
+            recovery: recovery.map_or_else(Vec::new, |r| r.events.clone()),
+        }
+    }
 }
 
-/// A finalized execution trace (see [`crate::Cluster::take_trace`]).
+impl RoundObserver for Tracer {
+    fn before_round(&mut self, _: &RoundCtx<'_>, _: usize) -> Result<Proceed, CancelCause> {
+        Ok(Proceed {
+            traffic: true,
+            ..Proceed::default()
+        })
+    }
+
+    fn delivered(&mut self, ctx: &RoundCtx<'_>, d: &Delivery<'_>) {
+        let traffic = d.traffic.expect("asked for in before_round");
+        self.events.push(TraceEvent {
+            round: ctx.round,
+            kind: d.kind,
+            label: ctx.label.to_string(),
+            phase: ctx.phase.to_string(),
+            received: d.received.to_vec(),
+            traffic: traffic
+                .chunks(d.received.len())
+                .map(<[u64]>::to_vec)
+                .collect(),
+            at: self.started.elapsed(),
+        });
+    }
+
+    fn computed(&mut self, ctx: &RoundCtx<'_>, tasks: usize, elapsed: Duration) {
+        self.compute.push(ComputeSpan {
+            label: ctx.label.to_string(),
+            phase: ctx.phase.to_string(),
+            round: ctx.round,
+            tasks,
+            elapsed,
+        });
+    }
+}
+
+/// A finalized execution trace (see [`Tracer::finish`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Trace {
     /// Number of physical servers (the dimension of `received` vectors

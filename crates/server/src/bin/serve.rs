@@ -54,7 +54,7 @@
 
 use mpcjoin::mpc::json::{escape_str, Json};
 use mpcjoin_server::wire::{self, Frame};
-use mpcjoin_server::{Scheduler, ServerConfig};
+use mpcjoin_server::{RequestCtx, Scheduler, ServerConfig};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::ExitCode;
@@ -357,7 +357,13 @@ fn handle_connection(
                 request_event("explain", Some(req.id), &req.session);
                 // Compilation is statistics-only (no simulated cluster
                 // run), so it is answered inline rather than queued.
-                let frame = sched.executor().explain_observed(&req, rid);
+                let frame = sched.executor().explain(
+                    &req,
+                    &RequestCtx {
+                        rid,
+                        ..RequestCtx::default()
+                    },
+                );
                 if !send(&writer, &wire::stamp_rid(&frame, rid)) {
                     break;
                 }
@@ -373,7 +379,13 @@ fn handle_connection(
                 request_event("update", Some(req.id), &req.session);
                 // Updates are delta-sized by construction, so they are
                 // answered inline (like explain) rather than queued.
-                let frame = sched.executor().update_observed(&req, rid);
+                let frame = sched.executor().update(
+                    &req,
+                    &RequestCtx {
+                        rid,
+                        ..RequestCtx::default()
+                    },
+                );
                 if !send(&writer, &wire::stamp_rid(&frame, rid)) {
                     break;
                 }

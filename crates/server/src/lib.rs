@@ -44,5 +44,5 @@ pub mod wire;
 
 pub use cache::{CacheStats, ResultCache};
 pub use obs::{Obs, RequestSpans, RequestTag, LOG_SCHEMA, SERVERSTATS_SCHEMA};
-pub use run::Executor;
+pub use run::{Executor, RequestCtx};
 pub use sched::{SchedStats, Scheduler, ServerConfig};

@@ -2,12 +2,11 @@
 //! response frame.
 //!
 //! One [`Executor`] is shared by every scheduler worker. It owns the
-//! [`ResultCache`] and a pool of [`QueryEngine`]s keyed by
-//! `(servers, plan, instrumented)` — engines are deliberately *reused*
-//! across requests, sessions, and semirings; the `engine_reuse`
-//! integration test pins that a reused engine's runs are bit-identical
-//! to fresh-engine runs, which is what makes both the pool and the
-//! result cache sound.
+//! [`ResultCache`]; a [`QueryEngine`] is a stateless builder that runs
+//! every query on a fresh cluster, so one is built per request. The
+//! `engine_reuse` integration test pins that an executor's runs are
+//! bit-identical across requests, sessions, and semirings, which is what
+//! makes the result cache sound.
 //!
 //! ## The canonical result body
 //!
@@ -81,7 +80,6 @@ pub struct Executor {
     /// layer). Measures and counts *around* runs, never inside them.
     obs: Arc<Obs>,
     cache: Mutex<ResultCache>,
-    engines: Mutex<HashMap<(usize, String, bool), Arc<QueryEngine>>>,
     /// Cacheable digests currently executing: a retried or concurrent
     /// identical request waits for the in-flight run instead of
     /// executing twice (singleflight — what makes client retries
@@ -108,7 +106,6 @@ impl Executor {
             artifact_dir,
             obs,
             cache: Mutex::new(ResultCache::new(cache_cap)),
-            engines: Mutex::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
             views: Mutex::new(HashMap::new()),
         }
@@ -134,7 +131,7 @@ impl Executor {
         // Bounds depend on sizes only, so pricing under Count is exact
         // for every semiring.
         let rels = build_relations(req, &parsed, |_| Count(1)).ok()?;
-        let engine = self.engine_for(req.servers, &req.plan, choice, false);
+        let engine = self.engine_for(req.servers, choice, false);
         let ex = engine.explain(&parsed.query, &rels).ok()?;
         ex.candidates.iter().find(|c| c.selected).map(|c| c.bound)
     }
@@ -145,60 +142,21 @@ impl Executor {
     }
 
     /// Execute one query request, returning its response frame (a result
-    /// frame or an error frame — never nothing, never a panic).
-    pub fn execute(&self, req: &QueryRequest) -> String {
-        self.execute_observed(req, 0, 0)
-    }
-
-    /// [`Executor::execute`] under a server-allocated request id, with
-    /// the queue-wait span already measured by the scheduler. Records
-    /// per-phase spans and the completion event; the frame itself is the
-    /// same either way — observation never changes a response byte.
-    pub fn execute_observed(&self, req: &QueryRequest, rid: u64, queue_ns: u64) -> String {
-        self.execute_with_deadline(req, rid, queue_ns, None)
-    }
-
-    /// [`Executor::execute_observed`] under a request deadline: the run
-    /// is cancelled at the engine's next round boundary once the
-    /// deadline passes, answering `deadline_exceeded`. The cancelled
-    /// engine (and the pool it came from) stays fully reusable — the
-    /// engine's cancellation contract guarantees a rerun is
-    /// bit-identical to a fresh run.
-    pub fn execute_with_deadline(
-        &self,
-        req: &QueryRequest,
-        rid: u64,
-        queue_ns: u64,
-        deadline: Option<Instant>,
-    ) -> String {
+    /// frame or an error frame — never nothing, never a panic). Records
+    /// per-phase spans and the completion event under `ctx.rid`; the
+    /// frame itself is the same for every `ctx.rid` / `ctx.queue_ns` —
+    /// observation never changes a response byte. With `ctx.deadline`
+    /// set, the run is cancelled at the engine's next round boundary
+    /// once the deadline passes, answering `deadline_exceeded`; the
+    /// engine's cancellation contract guarantees a rerun is bit-identical
+    /// to a fresh run.
+    pub fn execute(&self, req: &QueryRequest, ctx: &RequestCtx) -> String {
         if req.delay_ms > 0 {
             std::thread::sleep(std::time::Duration::from_millis(req.delay_ms));
         }
-        let started = Instant::now();
-        let tag = RequestTag {
-            rid,
-            id: req.id,
-            session: req.session.clone(),
-        };
-        match self.respond(req, started, &tag, queue_ns, deadline) {
-            Ok(frame) => frame,
-            Err(frame) => {
-                let code = ResponseView::parse(&frame)
-                    .ok()
-                    .and_then(|v| v.code)
-                    .unwrap_or_else(|| "unknown".into());
-                self.obs.count(&format!("error.{code}"), 1);
-                let mut fields = tag.fields();
-                fields.extend([
-                    ("kind".into(), Json::Str("query".into())),
-                    ("outcome".into(), Json::Str("error".into())),
-                    ("code".into(), Json::Str(code)),
-                    ("cached".into(), Json::Bool(false)),
-                ]);
-                self.obs.log_event("info", "complete", fields);
-                frame
-            }
-        }
+        let tag = ctx.tag(req.id, &req.session);
+        let outcome = self.respond(req, Instant::now(), &tag, ctx);
+        self.complete(&tag, "query", outcome)
     }
 
     /// Compile one explain request, returning its response frame (an
@@ -206,38 +164,9 @@ impl Executor {
     /// error frame). Compilation is statistics-only — no simulated
     /// cluster runs — so callers may answer explain requests inline
     /// without going through the execution queue.
-    pub fn explain(&self, req: &QueryRequest) -> String {
-        self.explain_observed(req, 0)
-    }
-
-    /// [`Executor::explain`] under a server-allocated request id.
-    pub fn explain_observed(&self, req: &QueryRequest, rid: u64) -> String {
-        let tag = RequestTag {
-            rid,
-            id: req.id,
-            session: req.session.clone(),
-        };
-        let (outcome, code, frame) = match self.respond_explain(req) {
-            Ok(frame) => ("result", None, frame),
-            Err(frame) => {
-                let code = ResponseView::parse(&frame)
-                    .ok()
-                    .and_then(|v| v.code)
-                    .unwrap_or_else(|| "unknown".into());
-                self.obs.count(&format!("error.{code}"), 1);
-                ("error", Some(code), frame)
-            }
-        };
-        let mut fields = tag.fields();
-        fields.extend([
-            ("kind".into(), Json::Str("explain".into())),
-            ("outcome".into(), Json::Str(outcome.into())),
-        ]);
-        if let Some(code) = code {
-            fields.push(("code".into(), Json::Str(code)));
-        }
-        self.obs.log_event("info", "complete", fields);
-        frame
+    pub fn explain(&self, req: &QueryRequest, ctx: &RequestCtx) -> String {
+        let tag = ctx.tag(req.id, &req.session);
+        self.complete(&tag, "explain", self.respond_explain(req))
     }
 
     /// Apply one update frame to its registered view, returning the
@@ -245,36 +174,42 @@ impl Executor {
     /// decision document and the revalidated canonical body, or an error
     /// frame). Updates run inline — the delta-sized work is exactly what
     /// the incremental path is for.
-    pub fn update(&self, req: &UpdateRequest) -> String {
-        self.update_observed(req, 0)
+    pub fn update(&self, req: &UpdateRequest, ctx: &RequestCtx) -> String {
+        let tag = ctx.tag(req.id, &req.session);
+        let outcome = self.respond_update(req, Instant::now(), &tag);
+        self.complete(&tag, "update", outcome)
     }
 
-    /// [`Executor::update`] under a server-allocated request id.
-    pub fn update_observed(&self, req: &UpdateRequest, rid: u64) -> String {
-        let started = Instant::now();
-        let tag = RequestTag {
-            rid,
-            id: req.id,
-            session: req.session.clone(),
-        };
-        let (outcome, code, frame) = match self.respond_update(req, started, &tag) {
-            Ok(frame) => ("result", None, frame),
+    /// The shared epilogue: unwrap a responder's outcome into its frame,
+    /// count an error frame under `error.{code}`, and log the `complete`
+    /// event — except for a successful query, whose `complete` (with
+    /// spans) was already logged by [`Executor::finish`].
+    fn complete(&self, tag: &RequestTag, kind: &str, outcome: Result<String, String>) -> String {
+        let (frame, code) = match outcome {
+            Ok(frame) if kind == "query" => return frame,
+            Ok(frame) => (frame, None),
             Err(frame) => {
                 let code = ResponseView::parse(&frame)
                     .ok()
                     .and_then(|v| v.code)
                     .unwrap_or_else(|| "unknown".into());
                 self.obs.count(&format!("error.{code}"), 1);
-                ("error", Some(code), frame)
+                (frame, Some(code))
             }
         };
         let mut fields = tag.fields();
         fields.extend([
-            ("kind".into(), Json::Str("update".into())),
-            ("outcome".into(), Json::Str(outcome.into())),
+            ("kind".into(), Json::Str(kind.into())),
+            (
+                "outcome".into(),
+                Json::Str(if code.is_some() { "error" } else { "result" }.into()),
+            ),
         ]);
         if let Some(code) = code {
             fields.push(("code".into(), Json::Str(code)));
+        }
+        if kind == "query" {
+            fields.push(("cached".into(), Json::Bool(false)));
         }
         self.obs.log_event("info", "complete", fields);
         frame
@@ -411,7 +346,7 @@ impl Executor {
         };
         let rels = build_relations(&updated, parsed, weight)?;
 
-        let engine = self.engine_for(req.servers, &req.plan, choice, false);
+        let engine = self.engine_for(req.servers, choice, false);
         // An engine error past this point can leave the view mid-patch,
         // so the entry is evicted on failure (the client re-registers).
         let evict = |e: &MpcError| {
@@ -559,7 +494,7 @@ impl Executor {
         weight: impl FnMut(Option<i64>) -> S + Copy,
     ) -> Result<String, String> {
         let rels = build_relations(req, parsed, weight)?;
-        let engine = self.engine_for(req.servers, &req.plan, choice, false);
+        let engine = self.engine_for(req.servers, choice, false);
         let ex = engine
             .explain(&parsed.query, &rels)
             .map_err(|e| mpc_error_frame(req.id, &e))?;
@@ -573,21 +508,16 @@ impl Executor {
         req: &QueryRequest,
         started: Instant,
         tag: &RequestTag,
-        queue_ns: u64,
-        deadline: Option<Instant>,
+        ctx: &RequestCtx,
     ) -> Result<String, String> {
         let (parsed, choice) = self.validate(req)?;
-        let ctx = RunCtx {
-            started,
-            queue_ns,
-            deadline,
-        };
         match req.semiring.as_str() {
             "count" => self.run_semiring(
                 req,
                 &parsed,
                 choice,
-                &ctx,
+                started,
+                ctx,
                 tag,
                 |w| Count(w.unwrap_or(1).max(0) as u64),
                 RegisteredView::Count,
@@ -596,7 +526,8 @@ impl Executor {
                 req,
                 &parsed,
                 choice,
-                &ctx,
+                started,
+                ctx,
                 tag,
                 |_| BoolRing(true),
                 RegisteredView::Bool,
@@ -605,7 +536,8 @@ impl Executor {
                 req,
                 &parsed,
                 choice,
-                &ctx,
+                started,
+                ctx,
                 tag,
                 |w| TropicalMin::finite(w.unwrap_or(0)),
                 RegisteredView::MinPlus,
@@ -614,7 +546,8 @@ impl Executor {
                 req,
                 &parsed,
                 choice,
-                &ctx,
+                started,
+                ctx,
                 tag,
                 |w| MinCount::path(w.unwrap_or(0)),
                 RegisteredView::MinCount,
@@ -634,14 +567,13 @@ impl Executor {
         req: &QueryRequest,
         parsed: &ParsedQuery,
         choice: PlanChoice,
-        ctx: &RunCtx,
+        started: Instant,
+        ctx: &RequestCtx,
         tag: &RequestTag,
         weight: impl FnMut(Option<i64>) -> S + Copy,
         wrap: impl Fn(ViewEntry<S>) -> RegisteredView,
     ) -> Result<String, String> {
-        let RunCtx {
-            started, queue_ns, ..
-        } = *ctx;
+        let queue_ns = ctx.queue_ns;
         self.obs.count(&format!("semiring.{}", req.semiring), 1);
         let rels = build_relations(req, parsed, weight)?;
 
@@ -723,17 +655,15 @@ impl Executor {
         let cache_ns = elapsed_ns(cache_started);
 
         let instrumented = self.artifact_dir.is_some();
-        let engine = self.engine_for(req.servers, &req.plan, choice, instrumented);
+        let engine = self.engine_for(req.servers, choice, instrumented);
         let engine_started = Instant::now();
-        let mut derived = match &req.fault_plan {
-            // A fault plan is per-request state, so it runs on a derived
-            // engine; the pooled one stays fault-free.
-            Some(plan) => (*engine).clone().faults(plan.clone()),
-            None => (*engine).clone(),
-        };
+        // The run's engine carries the request's fault plan and deadline
+        // token; `engine` itself stays clean for the watchdog's explain.
+        let mut derived = engine.clone();
+        if let Some(plan) = &req.fault_plan {
+            derived = derived.faults(plan.clone());
+        }
         if let Some(deadline) = ctx.deadline {
-            // Deadline cancellation is per-request state too: the derived
-            // engine carries the token, the pooled one never does.
             derived = derived.cancel(CancelToken::new().with_deadline(deadline));
         }
         let result = match derived.run(&parsed.query, &rels) {
@@ -846,26 +776,12 @@ impl Executor {
         self.obs.log_event("info", "complete", fields);
     }
 
-    fn engine_for(
-        &self,
-        servers: usize,
-        plan_name: &str,
-        choice: PlanChoice,
-        instrumented: bool,
-    ) -> Arc<QueryEngine> {
-        let mut pool = self.engines.lock().expect("engine pool lock");
-        Arc::clone(
-            pool.entry((servers, plan_name.to_string(), instrumented))
-                .or_insert_with(|| {
-                    Arc::new(
-                        QueryEngine::new(servers)
-                            .threads(self.threads_per_job)
-                            .plan(choice)
-                            .trace(instrumented)
-                            .metrics(instrumented),
-                    )
-                }),
-        )
+    fn engine_for(&self, servers: usize, choice: PlanChoice, instrumented: bool) -> QueryEngine {
+        QueryEngine::new(servers)
+            .threads(self.threads_per_job)
+            .plan(choice)
+            .trace(instrumented)
+            .metrics(instrumented)
     }
 
     /// Flush this run's trace/metrics artifacts (observability is
@@ -929,12 +845,27 @@ fn sanitize_session(session: &str) -> String {
         .collect()
 }
 
-/// Per-run execution context threaded from the scheduler.
-#[derive(Clone, Copy)]
-struct RunCtx {
-    started: Instant,
-    queue_ns: u64,
-    deadline: Option<Instant>,
+/// What the scheduler / wire layer knows about a request beyond its
+/// frame. The default (rid 0, no queue wait, no deadline) is what a
+/// caller outside the server passes.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RequestCtx {
+    /// Server-allocated request id (tags spans, log events, artifacts).
+    pub rid: u64,
+    /// Queue-wait span already measured by the scheduler.
+    pub queue_ns: u64,
+    /// Wall-clock deadline the run is cancelled at, if any.
+    pub deadline: Option<Instant>,
+}
+
+impl RequestCtx {
+    fn tag(&self, id: u64, session: &str) -> RequestTag {
+        RequestTag {
+            rid: self.rid,
+            id,
+            session: session.to_string(),
+        }
+    }
 }
 
 /// Saturating nanosecond elapsed-time read.
@@ -1206,10 +1137,11 @@ mod tests {
     #[test]
     fn cold_run_then_cache_hit_bit_identical() {
         let ex = executor();
-        let cold = ResponseView::parse(&ex.execute(&mm_request(1))).unwrap();
+        let cold =
+            ResponseView::parse(&ex.execute(&mm_request(1), &RequestCtx::default())).unwrap();
         assert_eq!(cold.kind, "result");
         assert!(!cold.cached);
-        let hit = ResponseView::parse(&ex.execute(&mm_request(2))).unwrap();
+        let hit = ResponseView::parse(&ex.execute(&mm_request(2), &RequestCtx::default())).unwrap();
         assert!(hit.cached, "identical request must hit");
         assert_eq!(cold.result, hit.result, "hit must be bit-identical");
         let stats = ex.cache_stats();
@@ -1219,7 +1151,8 @@ mod tests {
     #[test]
     fn cache_result_matches_oracle_and_body_shape() {
         let ex = executor();
-        let view = ResponseView::parse(&ex.execute(&mm_request(1))).unwrap();
+        let view =
+            ResponseView::parse(&ex.execute(&mm_request(1), &RequestCtx::default())).unwrap();
         let body = Json::parse(view.result.as_deref().unwrap()).unwrap();
         assert_eq!(body.get("plan").and_then(Json::as_str), Some("MatMul"));
         // (1, 7) reachable via b = 10 and b = 11 ⇒ Count(2).
@@ -1240,7 +1173,7 @@ mod tests {
     fn digest_ignores_names_and_row_order() {
         let ex = executor();
         assert!(
-            !ResponseView::parse(&ex.execute(&mm_request(1)))
+            !ResponseView::parse(&ex.execute(&mm_request(1), &RequestCtx::default()))
                 .unwrap()
                 .cached
         );
@@ -1251,7 +1184,7 @@ mod tests {
              \"relations\":{\"Hop2\":[[11,7],[10,7]],\"Hop1\":[[2,10],[1,11],[1,10]]},\
              \"query\":\"Out(u, w) :- Hop1(u, v), Hop2(v, w)\"}",
         );
-        let view = ResponseView::parse(&ex.execute(&renamed)).unwrap();
+        let view = ResponseView::parse(&ex.execute(&renamed, &RequestCtx::default())).unwrap();
         assert!(view.cached, "canonicalized digest must match");
     }
 
@@ -1259,7 +1192,11 @@ mod tests {
     fn digest_separates_different_runs() {
         let ex = executor();
         let base = mm_request(1);
-        assert!(!ResponseView::parse(&ex.execute(&base)).unwrap().cached);
+        assert!(
+            !ResponseView::parse(&ex.execute(&base, &RequestCtx::default()))
+                .unwrap()
+                .cached
+        );
         for tweak in [
             "\"servers\":8",
             "\"semiring\":\"bool\"",
@@ -1275,7 +1212,7 @@ mod tests {
             if !line.contains("servers") {
                 req.servers = base.servers;
             }
-            let view = ResponseView::parse(&ex.execute(&req)).unwrap();
+            let view = ResponseView::parse(&ex.execute(&req, &RequestCtx::default())).unwrap();
             assert!(!view.cached, "{tweak} must change the digest");
         }
     }
@@ -1283,10 +1220,11 @@ mod tests {
     #[test]
     fn faulted_requests_bypass_the_cache_and_recover() {
         let ex = executor();
-        let clean = ResponseView::parse(&ex.execute(&mm_request(1))).unwrap();
+        let clean =
+            ResponseView::parse(&ex.execute(&mm_request(1), &RequestCtx::default())).unwrap();
         let mut faulted = mm_request(2);
         faulted.fault_plan = Some(FaultPlan::new(11).retries(10).reorder(1));
-        let view = ResponseView::parse(&ex.execute(&faulted)).unwrap();
+        let view = ResponseView::parse(&ex.execute(&faulted, &RequestCtx::default())).unwrap();
         assert_eq!(view.kind, "result");
         assert!(!view.cached, "faulted twin must not be served from cache");
         assert!(view.recovered, "recovery report must ride the frame");
@@ -1297,7 +1235,11 @@ mod tests {
         // And the faulted run must not have poisoned the cache either.
         let mut again = mm_request(3);
         again.fault_plan = Some(FaultPlan::new(11).retries(10).reorder(1));
-        assert!(!ResponseView::parse(&ex.execute(&again)).unwrap().cached);
+        assert!(
+            !ResponseView::parse(&ex.execute(&again, &RequestCtx::default()))
+                .unwrap()
+                .cached
+        );
     }
 
     #[test]
@@ -1305,27 +1247,27 @@ mod tests {
         let ex = executor();
         let mut req = mm_request(1);
         req.query = "Q(a c) :- R(a, b)".into();
-        let view = ResponseView::parse(&ex.execute(&req)).unwrap();
+        let view = ResponseView::parse(&ex.execute(&req, &RequestCtx::default())).unwrap();
         assert_eq!(view.code.as_deref(), Some("bad_query"));
 
         let mut req = mm_request(2);
         req.plan = "star".into(); // wrong shape for a matmul query
-        let view = ResponseView::parse(&ex.execute(&req)).unwrap();
+        let view = ResponseView::parse(&ex.execute(&req, &RequestCtx::default())).unwrap();
         assert_eq!(view.code.as_deref(), Some("unsupported_plan"));
 
         let mut req = mm_request(3);
         req.relations.pop();
-        let view = ResponseView::parse(&ex.execute(&req)).unwrap();
+        let view = ResponseView::parse(&ex.execute(&req, &RequestCtx::default())).unwrap();
         assert_eq!(view.code.as_deref(), Some("bad_request"));
 
         let mut req = mm_request(4);
         req.servers = 10_000;
-        let view = ResponseView::parse(&ex.execute(&req)).unwrap();
+        let view = ResponseView::parse(&ex.execute(&req, &RequestCtx::default())).unwrap();
         assert_eq!(view.code.as_deref(), Some("bad_request"));
 
         let mut req = mm_request(5);
         req.semiring = "tropical".into();
-        let view = ResponseView::parse(&ex.execute(&req)).unwrap();
+        let view = ResponseView::parse(&ex.execute(&req, &RequestCtx::default())).unwrap();
         assert_eq!(view.code.as_deref(), Some("bad_request"));
         assert_eq!(view.id, Some(5));
     }
@@ -1338,7 +1280,7 @@ mod tests {
              \"servers\":4,\
              \"relations\":{\"R\":[[1,10],[1,11],[2,10]],\"S\":[[10,7],[11,7]]}}",
         );
-        let view = ResponseView::parse(&ex.explain(&req)).unwrap();
+        let view = ResponseView::parse(&ex.explain(&req, &RequestCtx::default())).unwrap();
         assert_eq!(view.kind, "explain");
         assert_eq!(view.id, Some(11));
         let plan = Json::parse(view.plan.as_deref().unwrap()).unwrap();
@@ -1358,7 +1300,7 @@ mod tests {
         let ex = executor();
         let mut req = mm_request(8);
         req.plan = "warp".into();
-        let view = ResponseView::parse(&ex.execute(&req)).unwrap();
+        let view = ResponseView::parse(&ex.execute(&req, &RequestCtx::default())).unwrap();
         assert_eq!(view.kind, "error");
         assert_eq!(view.code.as_deref(), Some("unknown_plan"));
         assert!(view.detail.as_deref().unwrap().contains("cec"));
@@ -1371,7 +1313,15 @@ mod tests {
         // A deadline already in the past: the engine cancels at its
         // first round boundary and the typed error becomes the frame.
         let past = Instant::now() - std::time::Duration::from_millis(10);
-        let view = ResponseView::parse(&ex.execute_with_deadline(&req, 1, 0, Some(past))).unwrap();
+        let view = ResponseView::parse(&ex.execute(
+            &req,
+            &RequestCtx {
+                rid: 1,
+                deadline: Some(past),
+                ..RequestCtx::default()
+            },
+        ))
+        .unwrap();
         assert_eq!(view.kind, "error");
         assert_eq!(view.code.as_deref(), Some("deadline_exceeded"));
         assert!(view.detail.as_deref().unwrap().contains("round boundary"));
@@ -1379,10 +1329,13 @@ mod tests {
         // The pooled engine (and the singleflight entry) recovered: the
         // identical request now runs to completion, bit-identical to a
         // fresh executor's run.
-        let view = ResponseView::parse(&ex.execute(&mm_request(2))).unwrap();
+        let view =
+            ResponseView::parse(&ex.execute(&mm_request(2), &RequestCtx::default())).unwrap();
         assert_eq!(view.kind, "result");
         assert!(!view.cached, "cancelled run must not have cached anything");
-        let fresh = ResponseView::parse(&executor().execute(&mm_request(2))).unwrap();
+        let fresh =
+            ResponseView::parse(&executor().execute(&mm_request(2), &RequestCtx::default()))
+                .unwrap();
         assert_eq!(view.result, fresh.result, "rerun matches a fresh run");
     }
 
@@ -1417,7 +1370,7 @@ mod tests {
                     let req = request(&line);
                     scope.spawn(move || {
                         barrier.wait();
-                        ResponseView::parse(&ex.execute(&req)).unwrap()
+                        ResponseView::parse(&ex.execute(&req, &RequestCtx::default())).unwrap()
                     })
                 })
                 .collect();
@@ -1459,13 +1412,17 @@ mod tests {
     fn registered_view_updates_and_revalidates_byte_identically() {
         let ex = executor();
         let reg = request(&mm_query_line(1, true, MM_ROWS));
-        assert!(!ResponseView::parse(&ex.execute(&reg)).unwrap().cached);
+        assert!(
+            !ResponseView::parse(&ex.execute(&reg, &RequestCtx::default()))
+                .unwrap()
+                .cached
+        );
 
         let upd = update_request(
             "{\"type\":\"update\",\"id\":2,\"query\":\"Q(a, c) :- R(a, b), S(b, c)\",\
              \"servers\":4,\"inserts\":{\"R\":[[9,10]]},\"deletes\":{\"S\":[[11,7]]}}",
         );
-        let view = ResponseView::parse(&ex.update(&upd)).unwrap();
+        let view = ResponseView::parse(&ex.update(&upd, &RequestCtx::default())).unwrap();
         assert_eq!(view.kind, "update");
         let delta = Json::parse(view.delta.as_deref().unwrap()).unwrap();
         assert_eq!(
@@ -1482,18 +1439,19 @@ mod tests {
 
         // The revalidated entry answers the next query over the updated
         // instance as a cache hit...
-        let hit =
-            ResponseView::parse(&ex.execute(&request(&mm_query_line(3, false, MM_UPDATED_ROWS))))
-                .unwrap();
+        let hit = ResponseView::parse(&ex.execute(
+            &request(&mm_query_line(3, false, MM_UPDATED_ROWS)),
+            &RequestCtx::default(),
+        ))
+        .unwrap();
         assert!(hit.cached, "revalidated entry must hit");
         // ...byte-identical to the update's echoed body and to a cold
         // run on a fresh executor.
         assert_eq!(view.result, hit.result);
-        let fresh = ResponseView::parse(&executor().execute(&request(&mm_query_line(
-            3,
-            false,
-            MM_UPDATED_ROWS,
-        ))))
+        let fresh = ResponseView::parse(&executor().execute(
+            &request(&mm_query_line(3, false, MM_UPDATED_ROWS)),
+            &RequestCtx::default(),
+        ))
         .unwrap();
         assert_eq!(hit.result, fresh.result, "revalidation is sound");
     }
@@ -1505,7 +1463,7 @@ mod tests {
             "{\"type\":\"update\",\"id\":1,\"query\":\"Q(a, c) :- R(a, b), S(b, c)\",\
              \"servers\":4,\"inserts\":{\"R\":[[9,10]]}}",
         );
-        let view = ResponseView::parse(&ex.update(&upd)).unwrap();
+        let view = ResponseView::parse(&ex.update(&upd, &RequestCtx::default())).unwrap();
         assert_eq!(view.kind, "error");
         assert_eq!(view.code.as_deref(), Some("unknown_view"));
         assert!(view.detail.as_deref().unwrap().contains("register"));
@@ -1514,13 +1472,16 @@ mod tests {
     #[test]
     fn bad_deletes_reject_and_leave_the_view_usable() {
         let ex = executor();
-        ex.execute(&request(&mm_query_line(1, true, MM_ROWS)));
+        ex.execute(
+            &request(&mm_query_line(1, true, MM_ROWS)),
+            &RequestCtx::default(),
+        );
         // Deleting a row the view does not hold is all-or-nothing.
         let bad = update_request(
             "{\"type\":\"update\",\"id\":2,\"query\":\"Q(a, c) :- R(a, b), S(b, c)\",\
              \"servers\":4,\"inserts\":{\"R\":[[9,10]]},\"deletes\":{\"S\":[[5,5]]}}",
         );
-        let view = ResponseView::parse(&ex.update(&bad)).unwrap();
+        let view = ResponseView::parse(&ex.update(&bad, &RequestCtx::default())).unwrap();
         assert_eq!(view.code.as_deref(), Some("bad_request"));
         assert!(view.detail.as_deref().unwrap().contains("no row"));
         assert_eq!(ex.obs.counter_value("delta.applied"), 0);
@@ -1530,11 +1491,13 @@ mod tests {
             "{\"type\":\"update\",\"id\":3,\"query\":\"Q(a, c) :- R(a, b), S(b, c)\",\
              \"servers\":4,\"inserts\":{\"R\":[[9,10]]},\"deletes\":{\"S\":[[11,7]]}}",
         );
-        let view = ResponseView::parse(&ex.update(&good)).unwrap();
+        let view = ResponseView::parse(&ex.update(&good, &RequestCtx::default())).unwrap();
         assert_eq!(view.kind, "update", "{:?}", view.detail);
-        let hit =
-            ResponseView::parse(&ex.execute(&request(&mm_query_line(4, false, MM_UPDATED_ROWS))))
-                .unwrap();
+        let hit = ResponseView::parse(&ex.execute(
+            &request(&mm_query_line(4, false, MM_UPDATED_ROWS)),
+            &RequestCtx::default(),
+        ))
+        .unwrap();
         assert!(hit.cached);
         assert_eq!(view.result, hit.result);
     }
@@ -1547,12 +1510,12 @@ mod tests {
              \"servers\":4,\"semiring\":\"bool\",\"register\":true,\
              \"relations\":{\"R\":[[1,10],[1,11],[2,10]],\"S\":[[10,7],[11,7]]}}",
         );
-        ex.execute(&reg);
+        ex.execute(&reg, &RequestCtx::default());
         let upd = update_request(
             "{\"type\":\"update\",\"id\":2,\"query\":\"Q(a, c) :- R(a, b), S(b, c)\",\
              \"servers\":4,\"semiring\":\"bool\",\"deletes\":{\"R\":[[2,10]]}}",
         );
-        let view = ResponseView::parse(&ex.update(&upd)).unwrap();
+        let view = ResponseView::parse(&ex.update(&upd, &RequestCtx::default())).unwrap();
         assert_eq!(view.kind, "update");
         let delta = Json::parse(view.delta.as_deref().unwrap()).unwrap();
         assert_eq!(
@@ -1567,10 +1530,11 @@ mod tests {
              \"servers\":4,\"semiring\":\"bool\",\
              \"relations\":{\"R\":[[1,10],[1,11]],\"S\":[[10,7],[11,7]]}}",
         );
-        let hit = ResponseView::parse(&ex.execute(&requery)).unwrap();
+        let hit = ResponseView::parse(&ex.execute(&requery, &RequestCtx::default())).unwrap();
         assert!(hit.cached);
         assert_eq!(view.result, hit.result);
-        let fresh = ResponseView::parse(&executor().execute(&requery)).unwrap();
+        let fresh =
+            ResponseView::parse(&executor().execute(&requery, &RequestCtx::default())).unwrap();
         assert_eq!(hit.result, fresh.result);
     }
 
@@ -1579,20 +1543,26 @@ mod tests {
         let ex = executor();
         // Cold, unregistered...
         assert!(
-            !ResponseView::parse(&ex.execute(&request(&mm_query_line(1, false, MM_ROWS))))
-                .unwrap()
-                .cached
+            !ResponseView::parse(&ex.execute(
+                &request(&mm_query_line(1, false, MM_ROWS)),
+                &RequestCtx::default()
+            ))
+            .unwrap()
+            .cached
         );
         // ...then the registering twin is served from cache AND registers.
-        let hit =
-            ResponseView::parse(&ex.execute(&request(&mm_query_line(2, true, MM_ROWS)))).unwrap();
+        let hit = ResponseView::parse(&ex.execute(
+            &request(&mm_query_line(2, true, MM_ROWS)),
+            &RequestCtx::default(),
+        ))
+        .unwrap();
         assert!(hit.cached, "`register` must not change the digest");
         assert_eq!(ex.obs.counter_value("view.registered"), 1);
         let upd = update_request(
             "{\"type\":\"update\",\"id\":3,\"query\":\"Q(a, c) :- R(a, b), S(b, c)\",\
              \"servers\":4,\"inserts\":{\"R\":[[9,10]]},\"deletes\":{\"S\":[[11,7]]}}",
         );
-        let view = ResponseView::parse(&ex.update(&upd)).unwrap();
+        let view = ResponseView::parse(&ex.update(&upd, &RequestCtx::default())).unwrap();
         assert_eq!(view.kind, "update", "{:?}", view.detail);
     }
 
@@ -1601,7 +1571,8 @@ mod tests {
         let line = "{\"type\":\"query\",\"id\":1,\"semiring\":\"minplus\",\"servers\":4,\
                     \"query\":\"Q(a, c) :- R(a, b), S(b, c)\",\
                     \"relations\":{\"R\":[[1,10,5],[1,11,2]],\"S\":[[10,7,1],[11,7,9]]}}";
-        let view = ResponseView::parse(&executor().execute(&request(line))).unwrap();
+        let view = ResponseView::parse(&executor().execute(&request(line), &RequestCtx::default()))
+            .unwrap();
         let body = Json::parse(view.result.as_deref().unwrap()).unwrap();
         let rows = body.get("rows").and_then(Json::as_arr).unwrap();
         // Shortest 1→7 cost: min(5 + 1, 2 + 9) = 6.

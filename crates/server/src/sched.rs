@@ -27,7 +27,7 @@
 //! joins the workers.
 
 use crate::obs::{Obs, RequestTag};
-use crate::run::Executor;
+use crate::run::{Executor, RequestCtx};
 use crate::wire::{error_frame, QueryRequest};
 use mpcjoin::mpc::json::Json;
 use std::collections::{HashMap, VecDeque};
@@ -552,10 +552,12 @@ fn worker_loop(inner: &Inner) {
             )
         } else {
             let queue_ns = job.enqueued.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            let frame =
-                inner
-                    .executor
-                    .execute_with_deadline(&job.request, job.rid, queue_ns, job.deadline);
+            let ctx = RequestCtx {
+                rid: job.rid,
+                queue_ns,
+                deadline: job.deadline,
+            };
+            let frame = inner.executor.execute(&job.request, &ctx);
             // The completion counter and gauge move *before* the response
             // is delivered: a client that scrapes stats after receiving
             // all its responses must see `completed` cover every one.

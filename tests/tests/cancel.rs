@@ -224,7 +224,7 @@ fn deadline_and_caller_cancellation_report_cause_and_round() {
 #[test]
 fn executor_pool_serves_correctly_after_cancelled_requests() {
     use mpcjoin_server::wire::{parse_frame, Frame, ResponseView};
-    use mpcjoin_server::{Executor, Obs};
+    use mpcjoin_server::{Executor, Obs, RequestCtx};
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -237,16 +237,23 @@ fn executor_pool_serves_correctly_after_cancelled_requests() {
     let pooled = Executor::new(64, 1, 16, None, Arc::new(Obs::new()));
     let past = Instant::now() - std::time::Duration::from_millis(5);
     for rid in 0..3 {
-        let view =
-            ResponseView::parse(&pooled.execute_with_deadline(&req, rid, 0, Some(past))).unwrap();
+        let view = ResponseView::parse(&pooled.execute(
+            &req,
+            &RequestCtx {
+                rid,
+                deadline: Some(past),
+                ..RequestCtx::default()
+            },
+        ))
+        .unwrap();
         assert_eq!(view.kind, "error");
         assert_eq!(view.code.as_deref(), Some("deadline_exceeded"));
     }
-    let served = ResponseView::parse(&pooled.execute(&req)).unwrap();
+    let served = ResponseView::parse(&pooled.execute(&req, &RequestCtx::default())).unwrap();
     assert_eq!(served.kind, "result", "{:?}", served.detail);
     assert!(!served.cached, "cancelled attempts must not fill the cache");
     let fresh = Executor::new(64, 1, 16, None, Arc::new(Obs::new()));
-    let fresh_view = ResponseView::parse(&fresh.execute(&req)).unwrap();
+    let fresh_view = ResponseView::parse(&fresh.execute(&req, &RequestCtx::default())).unwrap();
     assert_eq!(
         served.result, fresh_view.result,
         "post-cancellation run matches a fresh executor bit for bit"

@@ -164,7 +164,7 @@ fn server_executor_reuse_matches_fresh_executors() {
     // engines + cache) answering a request repeatedly, compared against
     // a fresh Executor per request. Bodies are serialized bytes, so
     // equality here is bit-identity.
-    use mpcjoin_server::run::Executor;
+    use mpcjoin_server::run::{Executor, RequestCtx};
     use mpcjoin_server::wire::{parse_frame, Frame, ResponseView};
 
     let line = "{\"type\":\"query\",\"id\":1,\"query\":\"Q(a, c) :- R(a, b), S(b, c)\",\
@@ -182,7 +182,7 @@ fn server_executor_reuse_matches_fresh_executors() {
     );
     let mut bodies = Vec::new();
     for i in 0..4 {
-        let view = ResponseView::parse(&shared.execute(&req)).unwrap();
+        let view = ResponseView::parse(&shared.execute(&req, &RequestCtx::default())).unwrap();
         assert_eq!(view.kind, "result");
         assert_eq!(view.cached, i > 0, "first run cold, repeats cached");
         bodies.push(view.result.unwrap());
@@ -193,7 +193,7 @@ fn server_executor_reuse_matches_fresh_executors() {
             None,
             std::sync::Arc::new(mpcjoin_server::Obs::new()),
         );
-        let fresh_view = ResponseView::parse(&fresh.execute(&req)).unwrap();
+        let fresh_view = ResponseView::parse(&fresh.execute(&req, &RequestCtx::default())).unwrap();
         assert_eq!(
             fresh_view.result.as_deref(),
             bodies.last().map(String::as_str),

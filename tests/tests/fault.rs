@@ -312,3 +312,60 @@ fn recovered_runs_export_a_v3_trace_with_the_story_embedded() {
     );
     assert_eq!(report.get("recovered"), Some(&Json::Bool(true)));
 }
+
+#[test]
+fn all_observers_composed_stay_invisible_for_every_plan() {
+    // Trace + metrics + a recoverable fault plan + a never-firing cancel
+    // token installed *together*, against a bare run: the seam composes
+    // them in one place, and none of them may leak into output or
+    // ledger — or disagree with each other about what happened.
+    let mut cases = workloads::<Count>();
+    let (_, line, line_rels) = cases[2].clone();
+    cases.push((PlanKind::CanonicalEdgeCover, line, line_rels));
+    for (i, (kind, q, rels)) in cases.into_iter().enumerate() {
+        for threads in [1usize, 3] {
+            let what = format!("{kind:?}, {threads} thread(s)");
+            let engine = QueryEngine::new(8)
+                .threads(threads)
+                .plan(PlanChoice::Force(kind));
+            let bare = engine.clone().run(&q, &rels).expect("valid instance");
+            let full = engine
+                .trace(true)
+                .metrics(true)
+                .faults(mixed_plan(60 + i as u64))
+                .cancel(CancelToken::new())
+                .run(&q, &rels)
+                .expect("recoverable schedule, token never fires");
+            assert_eq!(bare.plan, full.plan, "{what}");
+            assert_eq!(bare.cost, full.cost, "{what}");
+            assert_eq!(bare.audit, full.audit, "{what}");
+            assert_eq!(bare.output.canonical(), full.output.canonical(), "{what}");
+
+            let trace = full.trace.as_ref().expect("trace requested");
+            let metrics = full.metrics.as_ref().expect("metrics requested");
+            let recovery = full.recovery.as_ref().expect("fault plan installed");
+            assert!(recovery.recovered(), "{what}: {recovery}");
+            assert!(recovery.faults_injected > 0, "{what}: schedule fired");
+            assert_eq!(trace.cost, full.cost, "{what}");
+            assert_eq!(trace.per_server(), metrics.per_server, "{what}");
+            assert_eq!(trace.recovery, recovery.events, "{what}");
+            let counter = |name: &str| {
+                metrics
+                    .counters
+                    .iter()
+                    .find(|(k, _)| k == name)
+                    .map_or(0, |(_, v)| *v)
+            };
+            for (name, total) in [
+                ("fault.retries", recovery.retries),
+                ("fault.messages_dropped", recovery.messages_dropped),
+                ("fault.messages_duplicated", recovery.messages_duplicated),
+                ("fault.rounds_replayed", recovery.rounds_replayed),
+                ("fault.compute_retries", recovery.compute_retries),
+                ("fault.servers_lost", recovery.servers_lost.len() as u64),
+            ] {
+                assert_eq!(counter(name), total, "{what}: {name}");
+            }
+        }
+    }
+}

@@ -14,7 +14,7 @@
 use mpcjoin::mpc::json::Json;
 use mpcjoin::prelude::*;
 use mpcjoin_server::wire::{parse_frame, Frame, ResponseView};
-use mpcjoin_server::{Executor, Obs, Scheduler, ServerConfig};
+use mpcjoin_server::{Executor, Obs, RequestCtx, Scheduler, ServerConfig};
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc};
 
@@ -82,7 +82,7 @@ fn cache_hits_are_oracle_correct_by_transitivity() {
     // cold body. Together: a cache hit is oracle-checked.
     let ex = Executor::new(64, 1, 8, None, Arc::new(Obs::new()));
     let req = query_request(1, "t");
-    let cold = ResponseView::parse(&ex.execute(&req)).unwrap();
+    let cold = ResponseView::parse(&ex.execute(&req, &RequestCtx::default())).unwrap();
     assert!(!cold.cached);
 
     let (a, b, c) = (Attr(0), Attr(1), Attr(2));
@@ -111,7 +111,7 @@ fn cache_hits_are_oracle_correct_by_transitivity() {
         );
     }
 
-    let hit = ResponseView::parse(&ex.execute(&req)).unwrap();
+    let hit = ResponseView::parse(&ex.execute(&req, &RequestCtx::default())).unwrap();
     assert!(hit.cached);
     assert_eq!(hit.result, cold.result, "hit bytes == cold bytes");
 }
@@ -415,7 +415,7 @@ fn registered_views_revalidate_the_cache_byte_identically() {
     let Frame::Query(req) = parse_frame(register_line).expect("register frame parses") else {
         panic!("expected query frame");
     };
-    let cold = ResponseView::parse(&ex.execute(&req)).unwrap();
+    let cold = ResponseView::parse(&ex.execute(&req, &RequestCtx::default())).unwrap();
     assert_eq!(cold.kind, "result", "{:?}", cold.detail);
 
     let update_line = "{\"type\":\"update\",\"id\":2,\"session\":\"t\",\
@@ -424,7 +424,7 @@ fn registered_views_revalidate_the_cache_byte_identically() {
     let Frame::Update(upd) = parse_frame(update_line).expect("update frame parses") else {
         panic!("expected update frame");
     };
-    let patched = ResponseView::parse(&ex.update(&upd)).unwrap();
+    let patched = ResponseView::parse(&ex.update(&upd, &RequestCtx::default())).unwrap();
     assert_eq!(patched.kind, "update", "{:?}", patched.detail);
     let delta = Json::parse(patched.delta.as_deref().expect("delta document attached"))
         .expect("delta document is JSON");
@@ -442,7 +442,7 @@ fn registered_views_revalidate_the_cache_byte_identically() {
     let Frame::Query(requery) = parse_frame(requery_line).expect("re-query frame parses") else {
         panic!("expected query frame");
     };
-    let hit = ResponseView::parse(&ex.execute(&requery)).unwrap();
+    let hit = ResponseView::parse(&ex.execute(&requery, &RequestCtx::default())).unwrap();
     assert_eq!(hit.kind, "result", "{:?}", hit.detail);
     assert!(hit.cached, "re-query after update must hit the cache");
     assert_eq!(
@@ -479,11 +479,18 @@ fn observability_plane_is_invisible_to_results_and_ledger() {
             query_request(7, "t"), // repeat ⇒ cache hit on both sides
         ];
         for (i, req) in requests.iter().enumerate() {
-            let a = ResponseView::parse(&plain.execute(req)).unwrap();
+            let a = ResponseView::parse(&plain.execute(req, &RequestCtx::default())).unwrap();
             // Arbitrary rid and queue span: observation inputs must not
             // leak into the response.
-            let b = ResponseView::parse(&observed.execute_observed(req, 40 + i as u64, 12_345))
-                .unwrap();
+            let b = ResponseView::parse(&observed.execute(
+                req,
+                &RequestCtx {
+                    rid: 40 + i as u64,
+                    queue_ns: 12_345,
+                    ..RequestCtx::default()
+                },
+            ))
+            .unwrap();
             assert_eq!(a.kind, "result", "{:?}", a.detail);
             assert_eq!(a.kind, b.kind);
             assert_eq!(a.cached, b.cached, "request {i}: cache behaviour identical");
