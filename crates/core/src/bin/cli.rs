@@ -71,6 +71,9 @@ enum CliError {
     Mpc(MpcError),
     /// The query text did not parse.
     Query(String),
+    /// A well-formed invocation naming something unknown (the wire's
+    /// `bad_request`).
+    BadRequest(String),
     /// Anything else: missing files, bad bindings, serialization.
     Other(String),
 }
@@ -80,6 +83,7 @@ impl CliError {
         match self {
             CliError::Mpc(e) => e.code(),
             CliError::Query(_) => "bad_query",
+            CliError::BadRequest(_) => "bad_request",
             CliError::Other(_) => "cli",
         }
     }
@@ -87,7 +91,7 @@ impl CliError {
     fn detail(&self) -> String {
         match self {
             CliError::Mpc(e) => e.to_string(),
-            CliError::Query(msg) | CliError::Other(msg) => msg.clone(),
+            CliError::Query(msg) | CliError::BadRequest(msg) | CliError::Other(msg) => msg.clone(),
         }
     }
 
@@ -281,10 +285,24 @@ fn load_fault_plan(args: &Args) -> Result<Option<FaultPlan>, CliError> {
     Ok(Some(plan))
 }
 
-fn run_semiring<S: Semiring + std::fmt::Debug>(
+/// One CLI run, generic over the semiring `--semiring` names.
+struct Run<'a> {
+    args: &'a Args,
+    parsed: &'a ParsedQuery,
+}
+
+impl mpcjoin::SemiringVisitor for Run<'_> {
+    type Out = Result<(), CliError>;
+
+    fn visit<S: Semiring>(self, weight: fn(Option<i64>) -> S) -> Self::Out {
+        run_semiring(self.args, self.parsed, weight)
+    }
+}
+
+fn run_semiring<S: Semiring>(
     args: &Args,
     parsed: &ParsedQuery,
-    weight: impl FnMut(Option<i64>) -> S + Copy,
+    weight: fn(Option<i64>) -> S,
 ) -> Result<(), CliError> {
     // Bind input files to the body atoms by relation name.
     let mut dict = StringDict::new();
@@ -309,7 +327,6 @@ fn run_semiring<S: Semiring + std::fmt::Debug>(
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
             let mut rel = Relation::empty(Schema::unary(x));
-            let mut w = weight;
             for line in text.lines() {
                 let line = line.trim();
                 if line.is_empty() || line.starts_with('#') {
@@ -324,7 +341,7 @@ fn run_semiring<S: Semiring + std::fmt::Debug>(
                             .map_err(|_| format!("{}: bad weight `{f}`", path.display()))
                     })
                     .transpose()?;
-                rel.push(vec![dict.encode(v)], w(weight_field));
+                rel.push(vec![dict.encode(v)], weight(weight_field));
             }
             rel
         };
@@ -482,16 +499,13 @@ fn main() -> ExitCode {
     }
     mpcjoin::mpc::exec::set_default_threads(args.threads);
 
-    let outcome = match args.semiring.as_str() {
-        "count" => run_semiring(&args, &parsed, |w| Count(w.unwrap_or(1).max(0) as u64)),
-        "bool" => run_semiring(&args, &parsed, |_| BoolRing(true)),
-        "minplus" => run_semiring(&args, &parsed, |w| TropicalMin::finite(w.unwrap_or(0))),
-        "mincount" => run_semiring(&args, &parsed, |w| MinCount::path(w.unwrap_or(0))),
-        other => Err(CliError::Other(format!(
-            "unknown semiring `{other}` (expected count|bool|minplus|mincount)"
-        ))),
+    let run = Run {
+        args: &args,
+        parsed: &parsed,
     };
-    match outcome {
+    match mpcjoin::with_semiring(&args.semiring, run)
+        .unwrap_or_else(|detail| Err(CliError::BadRequest(detail)))
+    {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => fail(args.json, &e),
     }

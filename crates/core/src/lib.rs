@@ -75,8 +75,8 @@ pub use audit::{AuditVerdict, BoundAuditor, DEFAULT_SLACK};
 pub use incremental::DeltaOutcome;
 pub use mpcjoin_delta::{DeltaBatch, DeltaReport, Maintainability, MaterializedView};
 pub use planner::{
-    execute_on, execute_sequential, parse_plan_choice, ExecutionResult, PlanChoice, PlanKind,
-    QueryEngine, PLAN_NAMES,
+    execute_on, execute_sequential, parse_plan_choice, with_semiring, ExecutionResult, PlanChoice,
+    PlanKind, QueryEngine, SemiringVisitor, PLAN_NAMES, SEMIRING_NAMES,
 };
 pub use verify::{verify_instance, Verification};
 

@@ -30,7 +30,7 @@ use mpcjoin_mpc::{
 };
 use mpcjoin_query::{classify, plan_reduction, Shape, TreeQuery};
 use mpcjoin_relation::{Attr, Relation, Row, Schema};
-use mpcjoin_semiring::Semiring;
+use mpcjoin_semiring::{BoolRing, Count, MinCount, Semiring, TropicalMin};
 use mpcjoin_yannakakis::{distributed_yannakakis, sequential_join_aggregate, validate_instance};
 use std::cell::RefCell;
 use std::fmt;
@@ -87,6 +87,38 @@ pub fn parse_plan_choice(name: &str) -> Result<PlanChoice, MpcError> {
             return Err(MpcError::UnknownPlan(format!(
                 "`{other}` (expected one of {PLAN_NAMES})"
             )))
+        }
+    })
+}
+
+/// The wire's semiring vocabulary (CLI `--semiring`, server `semiring`
+/// member). A name's index is the tag the server's cache digest records
+/// and the arm [`with_semiring`] runs, so entries are only ever appended.
+pub const SEMIRING_NAMES: [&str; 4] = ["count", "bool", "minplus", "mincount"];
+
+/// A computation generic over the semiring a wire name selects.
+pub trait SemiringVisitor {
+    /// What the computation returns.
+    type Out;
+    /// Run under `S`; `weight` turns an input row's optional trailing
+    /// weight into its annotation.
+    fn visit<S: Semiring>(self, weight: fn(Option<i64>) -> S) -> Self::Out;
+}
+
+/// The one place a wire semiring name becomes a type: run `v` under the
+/// semiring `name` selects from [`SEMIRING_NAMES`]. `Err` carries the
+/// detail text every surface answers an unknown name with.
+pub fn with_semiring<V: SemiringVisitor>(name: &str, v: V) -> Result<V::Out, String> {
+    Ok(match SEMIRING_NAMES.iter().position(|n| *n == name) {
+        Some(0) => v.visit(|w| Count(w.unwrap_or(1).max(0) as u64)),
+        Some(1) => v.visit(|_| BoolRing(true)),
+        Some(2) => v.visit(|w| TropicalMin::finite(w.unwrap_or(0))),
+        Some(3) => v.visit(|w| MinCount::path(w.unwrap_or(0))),
+        _ => {
+            return Err(format!(
+                "unknown semiring `{name}` (expected {})",
+                SEMIRING_NAMES.join("|")
+            ))
         }
     })
 }
@@ -561,6 +593,36 @@ mod tests {
 
     fn mm_query() -> TreeQuery {
         TreeQuery::new(vec![Edge::binary(A, B), Edge::binary(B, C)], [A, C])
+    }
+
+    #[test]
+    fn semiring_table_dispatches_every_name_and_lists_them_on_a_miss() {
+        struct TypeName;
+        impl SemiringVisitor for TypeName {
+            type Out = (&'static str, String);
+            fn visit<S: Semiring>(self, weight: fn(Option<i64>) -> S) -> Self::Out {
+                (std::any::type_name::<S>(), format!("{:?}", weight(None)))
+            }
+        }
+        let dispatched: Vec<_> = SEMIRING_NAMES
+            .iter()
+            .map(|name| with_semiring(name, TypeName).expect("table names dispatch"))
+            .collect();
+        // One distinct semiring per name, unweighted rows annotated `one`.
+        for (i, (ty, _)) in dispatched.iter().enumerate() {
+            assert!(dispatched[..i].iter().all(|(other, _)| other != ty), "{ty}");
+        }
+        assert_eq!(dispatched[0].1, format!("{:?}", Count::one()));
+        assert_eq!(dispatched[1].1, format!("{:?}", BoolRing::one()));
+        assert_eq!(dispatched[2].1, format!("{:?}", TropicalMin::one()));
+        let detail = with_semiring("tropical", TypeName).expect_err("not in the table");
+        assert_eq!(
+            detail,
+            format!(
+                "unknown semiring `tropical` (expected {})",
+                SEMIRING_NAMES.join("|")
+            )
+        );
     }
 
     #[test]

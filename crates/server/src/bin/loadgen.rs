@@ -1005,62 +1005,48 @@ fn main() -> ExitCode {
                         }
                     }
                     let chaos = args.chaos;
-                    let top = |name: &str| doc.get(name).and_then(Json::as_u64);
-                    check(
-                        &mut failures,
-                        chaos,
-                        "completed",
-                        top("completed"),
-                        query_responses,
-                    );
-                    check(
-                        &mut failures,
-                        chaos,
-                        "admitted",
-                        top("admitted"),
-                        query_responses,
-                    );
-                    check(
-                        &mut failures,
-                        chaos,
-                        "rejected_overload + rejected_quota",
-                        top("rejected_overload")
-                            .zip(top("rejected_quota"))
-                            .map(|(a, b)| a + b),
-                        total_retries,
-                    );
-                    // Coalesced followers are cache hits from the
-                    // client's view but land in `coalesce.hits`
-                    // server-side; fault-free runs have no concurrent
-                    // identical digests so the sum stays exact.
-                    let coalesce_hits = doc
-                        .get("stats")
-                        .and_then(|s| s.get("counters"))
-                        .and_then(|c| c.get("coalesce.hits"))
-                        .and_then(Json::as_u64)
-                        .unwrap_or(0);
-                    check(
-                        &mut failures,
-                        chaos,
-                        "cache.hits + coalesce.hits",
-                        doc.get("cache")
-                            .and_then(|c| c.get("hits"))
-                            .and_then(Json::as_u64)
-                            .map(|h| h + coalesce_hits),
-                        total_hits,
-                    );
                     match doc.get("stats").map(Json::to_string_sanitized) {
                         None => failures
                             .push("stats frame is missing the nested `stats` payload".into()),
                         Some(nested) => match StatsView::parse(&nested) {
                             Err(e) => failures.push(format!("nested stats payload: {e}")),
                             Ok(view) => {
+                                let sched = |name: &str| view.num(&["sched", name]);
                                 check(
                                     &mut failures,
                                     chaos,
                                     "stats.sched.completed",
-                                    view.num(&["sched", "completed"]),
+                                    sched("completed"),
                                     query_responses,
+                                );
+                                check(
+                                    &mut failures,
+                                    chaos,
+                                    "stats.sched.admitted",
+                                    sched("admitted"),
+                                    query_responses,
+                                );
+                                check(
+                                    &mut failures,
+                                    chaos,
+                                    "stats.sched.rejected_overload + rejected_quota",
+                                    sched("rejected_overload")
+                                        .zip(sched("rejected_quota"))
+                                        .map(|(a, b)| a + b),
+                                    total_retries,
+                                );
+                                // Coalesced followers are cache hits from
+                                // the client's view but land in
+                                // `coalesce.hits` server-side; fault-free
+                                // runs have no concurrent identical
+                                // digests so the sum stays exact.
+                                check(
+                                    &mut failures,
+                                    chaos,
+                                    "stats.cache.hits + coalesce.hits",
+                                    view.num(&["cache", "hits"])
+                                        .map(|h| h + view.counter("coalesce.hits")),
+                                    total_hits,
                                 );
                                 server_p50_ns = view.latency_quantile("total", 0.50).unwrap_or(0);
                                 server_p95_ns = view.latency_quantile("total", 0.95).unwrap_or(0);

@@ -33,9 +33,9 @@
 //! appends `mpcjoin-log-v1` JSONL events (lifecycle, request, reject,
 //! complete-with-spans, watchdog); `--obs-dump FILE` writes the text
 //! exposition of the server metrics at drain time. A `stats` frame
-//! returns the legacy counters *plus* queue depth, in-flight count,
-//! uptime, per-error-code counters, and the full
-//! `mpcjoin-serverstats-v1` payload under `stats`;
+//! returns the `mpcjoin-serverstats-v1` payload under `stats`
+//! (scheduler and cache counters, gauges, `error.{code}` counters,
+//! latency histograms, the watchdog);
 //! `{"type":"stats","format":"text"}` returns the text exposition.
 //!
 //! ## Hostile-network hardening
@@ -146,56 +146,14 @@ fn send(writer: &Mutex<BufWriter<TcpStream>>, frame: &str) -> bool {
     writeln!(w, "{frame}").and_then(|()| w.flush()).is_ok()
 }
 
-/// The `stats` response. The legacy top-level members (lifetime
-/// scheduler counters, `cache{hits,misses,evictions,len}`) are kept
-/// bit-compatible for existing parsers; the expansion adds gauges
-/// (`queue_depth`, `in_flight`, `uptime_ns`), per-error-code counters
-/// (`errors`), and the full `mpcjoin-serverstats-v1` payload (`stats`).
+/// The `stats` response: the `mpcjoin-serverstats-v1` payload under
+/// `stats`.
 fn stats_frame(id: Option<u64>, sched: &Scheduler) -> String {
-    let s = sched.stats();
-    let c = sched.executor().cache_stats();
-    let obs = sched.obs();
-    let doc = sched.stats_doc();
-    let errors = match doc.get("counters") {
-        Some(Json::Obj(counters)) => counters
-            .iter()
-            .filter_map(|(name, v)| {
-                name.strip_prefix("error.")
-                    .map(|code| (code.to_string(), v.clone()))
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
     Json::Obj(vec![
         ("schema".into(), Json::Str(wire::WIRE_SCHEMA.into())),
         ("type".into(), Json::Str("stats".into())),
         ("id".into(), id.map_or(Json::Null, |v| Json::Num(v as f64))),
-        ("admitted".into(), Json::Num(s.admitted as f64)),
-        ("completed".into(), Json::Num(s.completed as f64)),
-        (
-            "rejected_overload".into(),
-            Json::Num(s.rejected_overload as f64),
-        ),
-        ("rejected_quota".into(), Json::Num(s.rejected_quota as f64)),
-        (
-            "rejected_draining".into(),
-            Json::Num(s.rejected_draining as f64),
-        ),
-        (
-            "cache".into(),
-            Json::Obj(vec![
-                ("hits".into(), Json::Num(c.hits as f64)),
-                ("misses".into(), Json::Num(c.misses as f64)),
-                ("evictions".into(), Json::Num(c.evictions as f64)),
-                ("len".into(), Json::Num(c.len as f64)),
-                ("bytes".into(), Json::Num(c.bytes as f64)),
-            ]),
-        ),
-        ("queue_depth".into(), Json::Num(obs.queue_depth() as f64)),
-        ("in_flight".into(), Json::Num(obs.in_flight() as f64)),
-        ("uptime_ns".into(), Json::Num(obs.uptime_ns() as f64)),
-        ("errors".into(), Json::Obj(errors)),
-        ("stats".into(), doc),
+        ("stats".into(), sched.stats_doc()),
     ])
     .to_string_sanitized()
 }
@@ -239,6 +197,12 @@ fn handle_connection(
         "conn_open",
         vec![("conn".into(), Json::Num(conn_id as f64))],
     );
+    // A line that never became a frame: counted as malformed, then
+    // rejected under the connection's identity (there is no session).
+    let malformed = |rid: u64, e: &wire::WireError| {
+        obs.count("frames.malformed", 1);
+        obs.reject(rid, ("conn", Json::Num(conn_id as f64)), e)
+    };
     let mut reader = BufReader::new(read_half);
     loop {
         let line = match wire::read_frame_line(&mut reader, wire::MAX_FRAME_BYTES) {
@@ -251,19 +215,7 @@ fn handle_connection(
                 let e = bad
                     .to_wire_error()
                     .expect("oversized/non-utf8 outcomes map to a wire error");
-                obs.count("frames.malformed", 1);
-                obs.count(&format!("error.{}", e.code), 1);
-                obs.log_event(
-                    "info",
-                    "reject",
-                    vec![
-                        ("rid".into(), Json::Num(rid as f64)),
-                        ("id".into(), Json::Null),
-                        ("reason".into(), Json::Str(e.code.into())),
-                        ("conn".into(), Json::Num(conn_id as f64)),
-                    ],
-                );
-                send(&writer, &wire::stamp_rid(&e.to_frame(), rid));
+                send(&writer, &wire::stamp_rid(&malformed(rid, &e), rid));
                 break;
             }
             wire::LineOutcome::Io(_) => {
@@ -278,6 +230,7 @@ fn handle_connection(
         // Every line — parseable or not — gets a server request id; all
         // responses echo it via `stamp_rid`.
         let rid = obs.next_rid();
+        let reply = |frame: &str| send(&writer, &wire::stamp_rid(frame, rid));
         let request_event = |kind: &str, id: Option<u64>, session: &str| {
             obs.count(&format!("frames.{kind}"), 1);
             obs.log_event(
@@ -292,115 +245,76 @@ fn handle_connection(
                 ],
             );
         };
-        match wire::parse_frame(&line) {
+        let ctx = RequestCtx {
+            rid,
+            ..RequestCtx::default()
+        };
+        let mut frame = match wire::parse_frame(&line) {
+            Ok(frame) => frame,
             Err(e) => {
-                obs.count("frames.malformed", 1);
-                obs.count(&format!("error.{}", e.code), 1);
-                obs.log_event(
-                    "info",
-                    "reject",
-                    vec![
-                        ("rid".into(), Json::Num(rid as f64)),
-                        (
-                            "id".into(),
-                            e.id.map_or(Json::Null, |v| Json::Num(v as f64)),
-                        ),
-                        ("reason".into(), Json::Str(e.code.into())),
-                        ("conn".into(), Json::Num(conn_id as f64)),
-                    ],
-                );
-                if !send(&writer, &wire::stamp_rid(&e.to_frame(), rid)) {
+                if !reply(&malformed(rid, &e)) {
                     break;
                 }
+                continue;
             }
-            Ok(Frame::Ping { id }) => {
+        };
+        // Quotas, view keys and log events all see the defaulted session:
+        // an update must resolve to the identity its registering query
+        // ran under.
+        frame.default_session(&default_session);
+        let delivered = match frame {
+            Frame::Ping { id } => {
                 request_event("ping", id, &default_session);
-                if !send(&writer, &wire::stamp_rid(&wire::pong_frame(id), rid)) {
-                    break;
-                }
+                reply(&wire::pong_frame(id))
             }
-            Ok(Frame::Stats { id, format }) => {
+            Frame::Stats { id, format } => {
                 request_event("stats", id, &default_session);
-                let frame = match format.as_deref() {
+                reply(&match format.as_deref() {
                     None => stats_frame(id, &sched),
                     Some("text") => stats_text_frame(id, &sched),
-                    Some(other) => {
-                        obs.count("error.bad_request", 1);
-                        wire::error_frame(
-                            id,
-                            "bad_request",
-                            &format!("unknown stats format `{other}` (expected `text`)"),
-                            None,
-                        )
-                    }
-                };
-                if !send(&writer, &wire::stamp_rid(&frame, rid)) {
-                    break;
-                }
+                    Some(other) => obs.error_frame(&wire::WireError {
+                        id,
+                        code: "bad_request",
+                        detail: format!("unknown stats format `{other}` (expected `text`)"),
+                        retry_after_ms: None,
+                    }),
+                })
             }
-            Ok(Frame::Shutdown { id }) => {
+            Frame::Shutdown { id } => {
                 request_event("shutdown", id, &default_session);
                 // Drain synchronously: by the time the ack goes out, every
                 // admitted query has been answered and its artifacts
                 // flushed.
                 let completed = sched.drain();
-                send(
-                    &writer,
-                    &wire::stamp_rid(&wire::shutdown_ack_frame(id, completed), rid),
-                );
+                reply(&wire::shutdown_ack_frame(id, completed));
                 stopping.store(true, Ordering::SeqCst);
                 // Unblock the accept loop so the process can exit.
                 let _ = TcpStream::connect(local);
                 return;
             }
-            Ok(Frame::Explain(req)) => {
+            Frame::Explain(req) => {
                 request_event("explain", Some(req.id), &req.session);
                 // Compilation is statistics-only (no simulated cluster
                 // run), so it is answered inline rather than queued.
-                let frame = sched.executor().explain(
-                    &req,
-                    &RequestCtx {
-                        rid,
-                        ..RequestCtx::default()
-                    },
-                );
-                if !send(&writer, &wire::stamp_rid(&frame, rid)) {
-                    break;
-                }
+                reply(&sched.executor().explain(&req, &ctx))
             }
-            Ok(Frame::Update(req)) => {
-                let mut req = *req;
-                if req.session.is_empty() {
-                    // Same defaulting as query frames: the view key
-                    // includes the session, so an update must resolve to
-                    // the identity its registering query ran under.
-                    req.session = default_session.clone();
-                }
+            Frame::Update(req) => {
                 request_event("update", Some(req.id), &req.session);
                 // Updates are delta-sized by construction, so they are
                 // answered inline (like explain) rather than queued.
-                let frame = sched.executor().update(
-                    &req,
-                    &RequestCtx {
-                        rid,
-                        ..RequestCtx::default()
-                    },
-                );
-                if !send(&writer, &wire::stamp_rid(&frame, rid)) {
-                    break;
-                }
+                reply(&sched.executor().update(&req, &ctx))
             }
-            Ok(Frame::Query(req)) => {
-                let mut req = *req;
-                if req.session.is_empty() {
-                    req.session = default_session.clone();
-                }
+            Frame::Query(req) => {
                 request_event("query", Some(req.id), &req.session);
                 let writer = Arc::clone(&writer);
-                sched.submit(rid, req, move |frame| {
+                sched.submit(rid, *req, move |frame| {
                     send(&writer, &wire::stamp_rid(&frame, rid));
                 });
+                true
             }
+        };
+        if !delivered {
+            break;
         }
     }
     obs.log_event(

@@ -51,6 +51,20 @@ pub struct CacheStats {
     pub bytes: u64,
 }
 
+impl CacheStats {
+    /// The counters as a `(name, value)` list — the one field list the
+    /// stats payload's JSON and text renderings are both built from.
+    pub fn fields(&self) -> [(&'static str, u64); 5] {
+        [
+            ("hits", self.hits),
+            ("misses", self.misses),
+            ("evictions", self.evictions),
+            ("len", self.len as u64),
+            ("bytes", self.bytes),
+        ]
+    }
+}
+
 struct Entry {
     body: Arc<str>,
     /// The touch tick this entry was last used at; stale queue records

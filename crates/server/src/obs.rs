@@ -59,6 +59,7 @@
 
 use crate::cache::CacheStats;
 use crate::sched::SchedStats;
+use crate::wire::WireError;
 use mpcjoin::mpc::json::Json;
 use mpcjoin::mpc::metrics::LogHistogram;
 use mpcjoin::prelude::AuditVerdict;
@@ -436,6 +437,31 @@ impl Obs {
         }
     }
 
+    /// The one place a [`WireError`] becomes a frame: counted under
+    /// `error.{code}`, then rendered. Every error answer — a rejection,
+    /// a failed run, a bad control frame — leaves through here, so the
+    /// counter and the wire can never disagree about a code.
+    pub fn error_frame(&self, e: &WireError) -> String {
+        self.count(&format!("error.{}", e.code), 1);
+        e.to_frame()
+    }
+
+    /// The rejection epilogue: log the `reject` event for a request that
+    /// will not run (`origin` names who sent it — the session of an
+    /// admitted frame, the connection of an unparseable one), then count
+    /// and render its error frame.
+    pub fn reject(&self, rid: u64, origin: (&str, Json), e: &WireError) -> String {
+        let id = e.id.map_or(Json::Null, |v| Json::Num(v as f64));
+        let fields = vec![
+            ("rid".into(), Json::Num(rid as f64)),
+            ("id".into(), id),
+            (origin.0.into(), origin.1),
+            ("reason".into(), Json::Str(e.code.into())),
+        ];
+        self.log_event("info", "reject", fields);
+        self.error_frame(e)
+    }
+
     /// The full `mpcjoin-serverstats-v1` payload.
     pub fn stats_json(&self, sched: &SchedStats, cache: &CacheStats) -> Json {
         let inner = self.inner.lock().expect("obs lock");
@@ -468,43 +494,8 @@ impl Obs {
             ("uptime_ns".into(), Json::Num(self.uptime_ns() as f64)),
             ("queue_depth".into(), Json::Num(self.queue_depth() as f64)),
             ("in_flight".into(), Json::Num(self.in_flight() as f64)),
-            (
-                "sched".into(),
-                Json::Obj(vec![
-                    ("admitted".into(), Json::Num(sched.admitted as f64)),
-                    ("completed".into(), Json::Num(sched.completed as f64)),
-                    (
-                        "rejected_overload".into(),
-                        Json::Num(sched.rejected_overload as f64),
-                    ),
-                    (
-                        "rejected_quota".into(),
-                        Json::Num(sched.rejected_quota as f64),
-                    ),
-                    (
-                        "rejected_draining".into(),
-                        Json::Num(sched.rejected_draining as f64),
-                    ),
-                    (
-                        "rejected_cost".into(),
-                        Json::Num(sched.rejected_cost as f64),
-                    ),
-                    (
-                        "shed_deadline".into(),
-                        Json::Num(sched.shed_deadline as f64),
-                    ),
-                ]),
-            ),
-            (
-                "cache".into(),
-                Json::Obj(vec![
-                    ("hits".into(), Json::Num(cache.hits as f64)),
-                    ("misses".into(), Json::Num(cache.misses as f64)),
-                    ("evictions".into(), Json::Num(cache.evictions as f64)),
-                    ("len".into(), Json::Num(cache.len as f64)),
-                    ("bytes".into(), Json::Num(cache.bytes as f64)),
-                ]),
-            ),
+            ("sched".into(), counters_json(&sched.fields())),
+            ("cache".into(), counters_json(&cache.fields())),
             (
                 "counters".into(),
                 Json::Obj(
@@ -564,24 +555,10 @@ impl Obs {
         line(format!("mpcjoin_uptime_ns {}", self.uptime_ns()));
         line(format!("mpcjoin_queue_depth {}", self.queue_depth()));
         line(format!("mpcjoin_in_flight {}", self.in_flight()));
-        for (name, v) in [
-            ("admitted", sched.admitted),
-            ("completed", sched.completed),
-            ("rejected_overload", sched.rejected_overload),
-            ("rejected_quota", sched.rejected_quota),
-            ("rejected_draining", sched.rejected_draining),
-            ("rejected_cost", sched.rejected_cost),
-            ("shed_deadline", sched.shed_deadline),
-        ] {
+        for (name, v) in sched.fields() {
             line(format!("mpcjoin_sched{{counter=\"{name}\"}} {v}"));
         }
-        for (name, v) in [
-            ("hits", cache.hits),
-            ("misses", cache.misses),
-            ("evictions", cache.evictions),
-            ("len", cache.len as u64),
-            ("bytes", cache.bytes),
-        ] {
+        for (name, v) in cache.fields() {
             line(format!("mpcjoin_cache{{counter=\"{name}\"}} {v}"));
         }
         for (name, v) in &inner.counters {
@@ -632,6 +609,16 @@ impl Obs {
         );
         out
     }
+}
+
+/// A `(name, value)` counter list as a JSON object, in list order.
+fn counters_json(fields: &[(&str, u64)]) -> Json {
+    Json::Obj(
+        fields
+            .iter()
+            .map(|&(name, v)| (name.to_string(), Json::Num(v as f64)))
+            .collect(),
+    )
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-//! The executor: turn a validated [`QueryRequest`] into exactly one
-//! response frame.
+//! The executor: turn a parsed request into exactly one response frame.
 //!
 //! One [`Executor`] is shared by every scheduler worker. It owns the
 //! [`ResultCache`]; a [`QueryEngine`] is a stateless builder that runs
@@ -7,6 +6,36 @@
 //! `engine_reuse` integration test pins that an executor's runs are
 //! bit-identical across requests, sessions, and semirings, which is what
 //! makes the result cache sound.
+//!
+//! ## The request pipeline
+//!
+//! ```text
+//! line
+//!  │ wire::parse_frame ─────────── unparseable ──────────► Obs::reject ─┐
+//!  ▼                                                                    │
+//! Frame::default_session                                                │
+//!  ├─ query ─► Scheduler::submit ── refused / shed ──────► Obs::reject ─┤
+//!  │               └─► worker ─► Executor::execute ──┐                  │
+//!  └─ explain, update (inline) ─► Executor::{explain, update}           │
+//!                                                    ▼                  │
+//!       validate ─► mpcjoin::with_semiring ─► responder::<S>            │
+//!                                                    ▼                  │
+//!                                      Result<Answer, WireError>        │
+//!                                                    ▼                  │
+//!       Executor::complete ── Ok: spans, `complete` event, the frame    │
+//!                          └─ Err: `complete` event, Obs::error_frame   │
+//!                                                    ▼                  │
+//!                                    wire::stamp_rid ─► send ◄──────────┘
+//! ```
+//!
+//! Three decisions are each made in exactly one place. *Which semiring*
+//! a request runs under is resolved by [`mpcjoin::with_semiring`] (the
+//! wire vocabulary's table); the responders here are generic over it.
+//! *What went wrong* travels as a typed [`WireError`] from wherever it
+//! is detected to [`Obs::error_frame`], the only place it is counted
+//! and rendered. *What gets logged* is `Executor::complete` (one
+//! `complete` event) for a request that reached a responder and
+//! [`Obs::reject`] (one `reject` event) for one that did not.
 //!
 //! ## The canonical result body
 //!
@@ -23,18 +52,19 @@
 use crate::cache::{digest_tokens, CacheStats, ResultCache};
 use crate::obs::{Obs, RequestSpans, RequestTag};
 use crate::wire::{
-    error_frame, explain_frame, mpc_error_frame, result_frame, update_frame, QueryRequest,
-    ResponseView, UpdateRequest,
+    explain_frame, result_frame, update_frame, QueryRequest, UpdateRequest, WireError,
 };
 use mpcjoin::mpc::hash::stable_hash;
 use mpcjoin::mpc::json::Json;
 use mpcjoin::prelude::*;
 use mpcjoin::query::{parse_query, ParsedQuery};
+use mpcjoin::{with_semiring, SemiringVisitor, SEMIRING_NAMES};
+use std::any::Any;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One in-flight cacheable run, shared between its leader and any
 /// coalesced followers (singleflight).
@@ -48,6 +78,9 @@ struct InflightSlot {
 
 type InflightCell = (Mutex<InflightSlot>, Condvar);
 
+/// Wire rows per relation name, as frames carry them.
+type RowMap = [(String, Vec<Vec<i64>>)];
+
 /// One registered materialized view plus the wire row list it currently
 /// reflects. The row list is *authoritative* for update semantics: a
 /// delete removes one exactly-matching row from it, regardless of how
@@ -56,15 +89,6 @@ type InflightCell = (Mutex<InflightSlot>, Condvar);
 struct ViewEntry<S: Semiring> {
     view: MaterializedView<S>,
     relations: Vec<(String, Vec<Vec<i64>>)>,
-}
-
-/// A registered view, closed over the wire protocol's semiring
-/// vocabulary (one variant per `semiring` name the server accepts).
-enum RegisteredView {
-    Count(ViewEntry<Count>),
-    Bool(ViewEntry<BoolRing>),
-    MinPlus(ViewEntry<TropicalMin>),
-    MinCount(ViewEntry<MinCount>),
 }
 
 /// Executes requests against the simulated cluster. Shared (behind an
@@ -87,8 +111,56 @@ pub struct Executor {
     inflight: Mutex<HashMap<u128, Arc<InflightCell>>>,
     /// Registered materialized views, keyed by
     /// `(session, semiring, servers, plan, query structure)`. Update
-    /// frames stream deltas against these; re-registering replaces.
-    views: Mutex<HashMap<u128, Arc<Mutex<RegisteredView>>>>,
+    /// frames stream deltas against these; re-registering replaces. A
+    /// slot holds a `ViewEntry<S>`; the key hashes the semiring name, so
+    /// the responder dispatched under `S` finds exactly that type.
+    views: Mutex<HashMap<u128, Arc<Mutex<dyn Any + Send>>>>,
+}
+
+/// What a successful responder hands [`Executor::complete`]: the frame,
+/// plus — for a query run only — its spans and, when it ran cold, the
+/// plan that ran with its audit ratio (`None` on a cache hit).
+struct Answer {
+    frame: String,
+    run: Option<(RequestSpans, Option<(String, Option<f64>)>)>,
+}
+
+/// One validated request on its way to its responder. Visiting it under
+/// the semiring its `semiring` member names runs the responder.
+struct Scope<'a, R> {
+    ex: &'a Executor,
+    req: &'a R,
+    parsed: &'a ParsedQuery,
+    choice: PlanChoice,
+    started: Instant,
+    tag: &'a RequestTag,
+    ctx: &'a RequestCtx,
+}
+
+/// A statistics-only compile of a query frame (explain, admission
+/// pricing): build the relations under the named semiring, run nothing.
+struct Compile<'a> {
+    engine: QueryEngine,
+    parsed: &'a ParsedQuery,
+    relations: &'a RowMap,
+}
+
+impl SemiringVisitor for Compile<'_> {
+    type Out = Result<Explain, WireError>;
+
+    fn visit<S: Semiring>(self, weight: fn(Option<i64>) -> S) -> Self::Out {
+        let rels = build_relations(self.relations, self.parsed, weight)?;
+        Ok(self.engine.explain(&self.parsed.query, &rels)?)
+    }
+}
+
+/// Run `v` under the semiring `name` selects from the wire vocabulary;
+/// a name outside it is the request's `bad_request`.
+fn dispatch<T>(
+    name: &str,
+    v: impl SemiringVisitor<Out = Result<T, WireError>>,
+) -> Result<T, WireError> {
+    with_semiring(name, v).unwrap_or_else(|detail| Err(WireError::new("bad_request", detail)))
 }
 
 impl Executor {
@@ -127,12 +199,7 @@ impl Executor {
     /// their real error on the normal execution path, so admission must
     /// not pre-empt it with `cost_exceeded`.
     pub fn predicted_bound(&self, req: &QueryRequest) -> Option<f64> {
-        let (parsed, choice) = self.validate(req).ok()?;
-        // Bounds depend on sizes only, so pricing under Count is exact
-        // for every semiring.
-        let rels = build_relations(req, &parsed, |_| Count(1)).ok()?;
-        let engine = self.engine_for(req.servers, choice, false);
-        let ex = engine.explain(&parsed.query, &rels).ok()?;
+        let (_, ex) = self.compile(req).ok()?;
         ex.candidates.iter().find(|c| c.selected).map(|c| c.bound)
     }
 
@@ -152,10 +219,28 @@ impl Executor {
     /// to a fresh run.
     pub fn execute(&self, req: &QueryRequest, ctx: &RequestCtx) -> String {
         if req.delay_ms > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(req.delay_ms));
+            // The testing stall never outlives the request's own deadline.
+            let delay = Duration::from_millis(req.delay_ms);
+            let left = ctx
+                .deadline
+                .map_or(delay, |d| d.saturating_duration_since(Instant::now()));
+            std::thread::sleep(delay.min(left));
         }
-        let tag = ctx.tag(req.id, &req.session);
-        let outcome = self.respond(req, Instant::now(), &tag, ctx);
+        let (tag, started) = (ctx.tag(req.id, &req.session), Instant::now());
+        let outcome =
+            self.validate(&req.query, req.servers, &req.plan)
+                .and_then(|(parsed, choice)| {
+                    let scope = Scope {
+                        ex: self,
+                        req,
+                        parsed: &parsed,
+                        choice,
+                        started,
+                        tag: &tag,
+                        ctx,
+                    };
+                    dispatch(&req.semiring, scope)
+                });
         self.complete(&tag, "query", outcome)
     }
 
@@ -166,7 +251,14 @@ impl Executor {
     /// without going through the execution queue.
     pub fn explain(&self, req: &QueryRequest, ctx: &RequestCtx) -> String {
         let tag = ctx.tag(req.id, &req.session);
-        self.complete(&tag, "explain", self.respond_explain(req))
+        let outcome = self.compile(req).map(|(parsed, ex)| {
+            let body = ex.to_json(Some(&parsed.names)).to_string_sanitized();
+            Answer {
+                frame: explain_frame(req.id, &body),
+                run: None,
+            }
+        });
+        self.complete(&tag, "explain", outcome)
     }
 
     /// Apply one update frame to its registered view, returning the
@@ -175,556 +267,122 @@ impl Executor {
     /// frame). Updates run inline — the delta-sized work is exactly what
     /// the incremental path is for.
     pub fn update(&self, req: &UpdateRequest, ctx: &RequestCtx) -> String {
-        let tag = ctx.tag(req.id, &req.session);
-        let outcome = self.respond_update(req, Instant::now(), &tag);
+        let (tag, started) = (ctx.tag(req.id, &req.session), Instant::now());
+        let outcome =
+            self.validate(&req.query, req.servers, &req.plan)
+                .and_then(|(parsed, choice)| {
+                    let scope = Scope {
+                        ex: self,
+                        req,
+                        parsed: &parsed,
+                        choice,
+                        started,
+                        tag: &tag,
+                        ctx,
+                    };
+                    dispatch(&req.semiring, scope)
+                });
         self.complete(&tag, "update", outcome)
     }
 
-    /// The shared epilogue: unwrap a responder's outcome into its frame,
-    /// count an error frame under `error.{code}`, and log the `complete`
-    /// event — except for a successful query, whose `complete` (with
-    /// spans) was already logged by [`Executor::finish`].
-    fn complete(&self, tag: &RequestTag, kind: &str, outcome: Result<String, String>) -> String {
-        let (frame, code) = match outcome {
-            Ok(frame) if kind == "query" => return frame,
-            Ok(frame) => (frame, None),
-            Err(frame) => {
-                let code = ResponseView::parse(&frame)
-                    .ok()
-                    .and_then(|v| v.code)
-                    .unwrap_or_else(|| "unknown".into());
-                self.obs.count(&format!("error.{code}"), 1);
-                (frame, Some(code))
+    /// The shared epilogue of every request that reached a responder:
+    /// record a query run's spans, turn an error into its frame (the
+    /// request's id filled in; counted and rendered by
+    /// [`Obs::error_frame`]), and log the one `complete` event.
+    fn complete(&self, tag: &RequestTag, kind: &str, outcome: Result<Answer, WireError>) -> String {
+        let mut fields = tag.fields();
+        fields.push(("kind".into(), Json::Str(kind.into())));
+        let frame = match outcome {
+            Ok(answer) => {
+                fields.push(("outcome".into(), Json::Str("result".into())));
+                if let Some((spans, cold)) = answer.run {
+                    self.obs.observe_spans(&spans);
+                    let cached = cold.is_none();
+                    let (plan, ratio) = match cold {
+                        Some((plan, ratio)) => {
+                            self.obs.observe_plan(&plan, spans.total_ns);
+                            (Json::Str(plan), ratio.map_or(Json::Null, Json::Num))
+                        }
+                        None => (Json::Null, Json::Null),
+                    };
+                    fields.extend([
+                        ("cached".into(), Json::Bool(cached)),
+                        ("plan".into(), plan),
+                        ("ratio".into(), ratio),
+                        ("spans".into(), spans.to_json()),
+                    ]);
+                }
+                answer.frame
+            }
+            Err(mut e) => {
+                e.id = Some(tag.id);
+                fields.extend([
+                    ("outcome".into(), Json::Str("error".into())),
+                    ("code".into(), Json::Str(e.code.into())),
+                ]);
+                if kind == "query" {
+                    fields.push(("cached".into(), Json::Bool(false)));
+                }
+                self.obs.error_frame(&e)
             }
         };
-        let mut fields = tag.fields();
-        fields.extend([
-            ("kind".into(), Json::Str(kind.into())),
-            (
-                "outcome".into(),
-                Json::Str(if code.is_some() { "error" } else { "result" }.into()),
-            ),
-        ]);
-        if let Some(code) = code {
-            fields.push(("code".into(), Json::Str(code)));
-        }
-        if kind == "query" {
-            fields.push(("cached".into(), Json::Bool(false)));
-        }
         self.obs.log_event("info", "complete", fields);
         frame
     }
 
-    fn respond_update(
+    /// Parse + validate the request-level members query, explain and
+    /// update frames share.
+    fn validate(
         &self,
-        req: &UpdateRequest,
-        started: Instant,
-        tag: &RequestTag,
-    ) -> Result<String, String> {
-        let (parsed, choice) = self.validate_parts(req.id, &req.query, req.servers, &req.plan)?;
-        match req.semiring.as_str() {
-            "count" => self.update_semiring(
-                req,
-                &parsed,
-                choice,
-                started,
-                tag,
-                |w| Count(w.unwrap_or(1).max(0) as u64),
-                |v: &mut RegisteredView| match v {
-                    RegisteredView::Count(e) => Some(e),
-                    _ => None,
-                },
-            ),
-            "bool" => self.update_semiring(
-                req,
-                &parsed,
-                choice,
-                started,
-                tag,
-                |_| BoolRing(true),
-                |v: &mut RegisteredView| match v {
-                    RegisteredView::Bool(e) => Some(e),
-                    _ => None,
-                },
-            ),
-            "minplus" => self.update_semiring(
-                req,
-                &parsed,
-                choice,
-                started,
-                tag,
-                |w| TropicalMin::finite(w.unwrap_or(0)),
-                |v: &mut RegisteredView| match v {
-                    RegisteredView::MinPlus(e) => Some(e),
-                    _ => None,
-                },
-            ),
-            "mincount" => self.update_semiring(
-                req,
-                &parsed,
-                choice,
-                started,
-                tag,
-                |w| MinCount::path(w.unwrap_or(0)),
-                |v: &mut RegisteredView| match v {
-                    RegisteredView::MinCount(e) => Some(e),
-                    _ => None,
-                },
-            ),
-            other => Err(error_frame(
-                Some(req.id),
+        query: &str,
+        servers: usize,
+        plan: &str,
+    ) -> Result<(ParsedQuery, PlanChoice), WireError> {
+        let parsed = parse_query(query).map_err(|e| WireError::new("bad_query", e.to_string()))?;
+        if servers == 0 || servers > self.max_servers {
+            return Err(WireError::new(
                 "bad_request",
-                &format!("unknown semiring `{other}` (expected count|bool|minplus|mincount)"),
-                None,
-            )),
+                format!(
+                    "`servers` must be between 1 and {} (got {})",
+                    self.max_servers, servers
+                ),
+            ));
         }
+        Ok((parsed, mpcjoin::parse_plan_choice(plan)?))
     }
 
-    /// The update pipeline for one concrete semiring: look up the view,
-    /// edit its authoritative row list, absorb the delta on the engine
-    /// (incremental where the classification allows, deterministic rerun
-    /// otherwise), then *revalidate* the cache — recompute the updated
-    /// instance's canonical body cold and install it under the updated
-    /// digest, so the next identical query is a byte-identical hit.
-    #[allow(clippy::too_many_arguments)]
-    fn update_semiring<S: Semiring + std::fmt::Debug>(
-        &self,
-        req: &UpdateRequest,
-        parsed: &ParsedQuery,
-        choice: PlanChoice,
-        started: Instant,
-        tag: &RequestTag,
-        weight: impl FnMut(Option<i64>) -> S + Copy,
-        extract: impl Fn(&mut RegisteredView) -> Option<&mut ViewEntry<S>>,
-    ) -> Result<String, String> {
-        let key = view_key(&req.session, &req.semiring, req.servers, &req.plan, parsed);
-        let cell = self
-            .views
-            .lock()
-            .expect("view registry lock")
-            .get(&key)
-            .cloned()
-            .ok_or_else(|| {
-                error_frame(
-                    Some(req.id),
-                    "unknown_view",
-                    "no registered view for this (session, query, semiring, servers, plan); \
-                     send the query frame with \"register\":true first",
-                    None,
-                )
-            })?;
-        // The view mutex is held across the whole absorption, so updates
-        // against one view apply in a total order.
-        let mut guard = cell.lock().expect("view lock");
-        let entry = extract(&mut guard).ok_or_else(|| {
-            error_frame(
-                Some(req.id),
-                "unknown_view",
-                "registered view was replaced under a different semiring; re-register",
-                None,
-            )
-        })?;
-
-        // All-or-nothing validation: both the edited row list and the
-        // delta batch are built (and every delete's target row located)
-        // before any state changes.
-        let relations = edited_row_list(req, &entry.relations)?;
-        let batch = build_batch(req, parsed, weight)?;
-        let updated = QueryRequest {
-            id: req.id,
-            session: req.session.clone(),
-            query: req.query.clone(),
-            semiring: req.semiring.clone(),
-            servers: req.servers,
-            plan: req.plan.clone(),
-            relations,
-            limit: req.limit,
-            delay_ms: 0,
-            deadline_ms: None,
-            fault_plan: None,
-            register: false,
+    /// Validate and compile a query frame without running it.
+    fn compile(&self, req: &QueryRequest) -> Result<(ParsedQuery, Explain), WireError> {
+        let (parsed, choice) = self.validate(&req.query, req.servers, &req.plan)?;
+        let compile = Compile {
+            engine: self.engine_for(req.servers, choice, false),
+            parsed: &parsed,
+            relations: &req.relations,
         };
-        let rels = build_relations(&updated, parsed, weight)?;
-
-        let engine = self.engine_for(req.servers, choice, false);
-        // An engine error past this point can leave the view mid-patch,
-        // so the entry is evicted on failure (the client re-registers).
-        let evict = |e: &MpcError| {
-            self.views.lock().expect("view registry lock").remove(&key);
-            mpc_error_frame(req.id, e)
-        };
-        let outcome = engine
-            .apply_delta(&mut entry.view, &batch)
-            .map_err(|e| evict(&e))?;
-        let fallback = outcome.report.class == Maintainability::RerunFallback;
-        self.obs.count(
-            if fallback {
-                "delta.fallback"
-            } else {
-                "delta.applied"
-            },
-            1,
-        );
-        if fallback {
-            // Row-list semantics are authoritative: rebuild the view from
-            // the edited list (bag-level withdrawal can diverge from
-            // row-level deletion when the list holds duplicate rows under
-            // a non-ring semiring).
-            let plan = entry.view.plan();
-            entry.view =
-                MaterializedView::new(&parsed.query, &rels, plan).map_err(|e| evict(&e))?;
-        }
-        entry.relations = updated.relations.clone();
-
-        // Revalidation: a cold deterministic rerun over the updated
-        // instance rebuilds the canonical body byte-identically to what
-        // a fresh query would produce, and installs it under the updated
-        // digest — the next identical query frame is a cache hit.
-        let result = engine.run(&parsed.query, &rels).map_err(|e| evict(&e))?;
-        let body = canonical_body(&result, req.limit);
-        let digest = digest_tokens(&digest_stream(&updated, parsed));
-        self.cache
-            .lock()
-            .expect("cache lock")
-            .insert(digest, Arc::from(body.as_str()));
-        self.obs.count("cache.revalidated", 1);
-
-        let Json::Obj(mut members) = outcome.report.to_json() else {
-            unreachable!("delta reports serialize to objects");
-        };
-        members.push(("load".into(), Json::Num(outcome.result.cost.load as f64)));
-        members.push(("audit".into(), outcome.result.audit.to_json()));
-        let delta_doc = Json::Obj(members);
-        self.write_delta_artifact(req, &delta_doc, tag);
-        Ok(update_frame(
-            req.id,
-            started.elapsed().as_nanos(),
-            &delta_doc,
-            &body,
-        ))
+        let ex = dispatch(&req.semiring, compile)?;
+        Ok((parsed, ex))
     }
 
     /// Materialize + register (or replace) the view for a registering
-    /// query. `Err` carries an already-rendered error frame.
+    /// query.
     fn register_view<S: Semiring>(
         &self,
         req: &QueryRequest,
         parsed: &ParsedQuery,
         rels: &[Relation<S>],
         plan: PlanKind,
-        wrap: &impl Fn(ViewEntry<S>) -> RegisteredView,
-    ) -> Result<(), String> {
-        let view = MaterializedView::new(&parsed.query, rels, plan)
-            .map_err(|e| mpc_error_frame(req.id, &e))?;
+    ) -> Result<(), WireError> {
         let entry = ViewEntry {
-            view,
+            view: MaterializedView::new(&parsed.query, rels, plan)?,
             relations: req.relations.clone(),
         };
         let key = view_key(&req.session, &req.semiring, req.servers, &req.plan, parsed);
         self.views
             .lock()
             .expect("view registry lock")
-            .insert(key, Arc::new(Mutex::new(wrap(entry))));
+            .insert(key, Arc::new(Mutex::new(entry)));
         self.obs.count("view.registered", 1);
         Ok(())
-    }
-
-    /// Parse + validate the request-level fields shared by query and
-    /// explain frames. `Err` carries an already-rendered error frame.
-    fn validate(&self, req: &QueryRequest) -> Result<(ParsedQuery, PlanChoice), String> {
-        self.validate_parts(req.id, &req.query, req.servers, &req.plan)
-    }
-
-    fn validate_parts(
-        &self,
-        id: u64,
-        query: &str,
-        servers: usize,
-        plan: &str,
-    ) -> Result<(ParsedQuery, PlanChoice), String> {
-        let parsed = parse_query(query)
-            .map_err(|e| error_frame(Some(id), "bad_query", &e.to_string(), None))?;
-        if servers == 0 || servers > self.max_servers {
-            return Err(error_frame(
-                Some(id),
-                "bad_request",
-                &format!(
-                    "`servers` must be between 1 and {} (got {})",
-                    self.max_servers, servers
-                ),
-                None,
-            ));
-        }
-        let choice = mpcjoin::parse_plan_choice(plan).map_err(|e| mpc_error_frame(id, &e))?;
-        Ok((parsed, choice))
-    }
-
-    fn respond_explain(&self, req: &QueryRequest) -> Result<String, String> {
-        let (parsed, choice) = self.validate(req)?;
-        match req.semiring.as_str() {
-            "count" => {
-                self.explain_semiring(
-                    req,
-                    &parsed,
-                    choice,
-                    |w| Count(w.unwrap_or(1).max(0) as u64),
-                )
-            }
-            "bool" => self.explain_semiring(req, &parsed, choice, |_| BoolRing(true)),
-            "minplus" => self.explain_semiring(req, &parsed, choice, |w| {
-                TropicalMin::finite(w.unwrap_or(0))
-            }),
-            "mincount" => {
-                self.explain_semiring(req, &parsed, choice, |w| MinCount::path(w.unwrap_or(0)))
-            }
-            other => Err(error_frame(
-                Some(req.id),
-                "bad_request",
-                &format!("unknown semiring `{other}` (expected count|bool|minplus|mincount)"),
-                None,
-            )),
-        }
-    }
-
-    fn explain_semiring<S: Semiring>(
-        &self,
-        req: &QueryRequest,
-        parsed: &ParsedQuery,
-        choice: PlanChoice,
-        weight: impl FnMut(Option<i64>) -> S + Copy,
-    ) -> Result<String, String> {
-        let rels = build_relations(req, parsed, weight)?;
-        let engine = self.engine_for(req.servers, choice, false);
-        let ex = engine
-            .explain(&parsed.query, &rels)
-            .map_err(|e| mpc_error_frame(req.id, &e))?;
-        let body = ex.to_json(Some(&parsed.names)).to_string_sanitized();
-        Ok(explain_frame(req.id, &body))
-    }
-
-    /// `Err` carries an already-rendered error frame.
-    fn respond(
-        &self,
-        req: &QueryRequest,
-        started: Instant,
-        tag: &RequestTag,
-        ctx: &RequestCtx,
-    ) -> Result<String, String> {
-        let (parsed, choice) = self.validate(req)?;
-        match req.semiring.as_str() {
-            "count" => self.run_semiring(
-                req,
-                &parsed,
-                choice,
-                started,
-                ctx,
-                tag,
-                |w| Count(w.unwrap_or(1).max(0) as u64),
-                RegisteredView::Count,
-            ),
-            "bool" => self.run_semiring(
-                req,
-                &parsed,
-                choice,
-                started,
-                ctx,
-                tag,
-                |_| BoolRing(true),
-                RegisteredView::Bool,
-            ),
-            "minplus" => self.run_semiring(
-                req,
-                &parsed,
-                choice,
-                started,
-                ctx,
-                tag,
-                |w| TropicalMin::finite(w.unwrap_or(0)),
-                RegisteredView::MinPlus,
-            ),
-            "mincount" => self.run_semiring(
-                req,
-                &parsed,
-                choice,
-                started,
-                ctx,
-                tag,
-                |w| MinCount::path(w.unwrap_or(0)),
-                RegisteredView::MinCount,
-            ),
-            other => Err(error_frame(
-                Some(req.id),
-                "bad_request",
-                &format!("unknown semiring `{other}` (expected count|bool|minplus|mincount)"),
-                None,
-            )),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_semiring<S: Semiring + std::fmt::Debug>(
-        &self,
-        req: &QueryRequest,
-        parsed: &ParsedQuery,
-        choice: PlanChoice,
-        started: Instant,
-        ctx: &RequestCtx,
-        tag: &RequestTag,
-        weight: impl FnMut(Option<i64>) -> S + Copy,
-        wrap: impl Fn(ViewEntry<S>) -> RegisteredView,
-    ) -> Result<String, String> {
-        let queue_ns = ctx.queue_ns;
-        self.obs.count(&format!("semiring.{}", req.semiring), 1);
-        let rels = build_relations(req, parsed, weight)?;
-
-        // Faulted requests bypass the cache in both directions: they must
-        // actually exercise the recovery path, and their (identical)
-        // output must not shadow the clean run's entry semantics.
-        let cache_started = Instant::now();
-        let key = if req.fault_plan.is_none() {
-            Some(digest_tokens(&digest_stream(req, parsed)))
-        } else {
-            None
-        };
-        let served_from = |body: &str, coalesced: bool, cache_ns: u64| -> Result<String, String> {
-            if req.register {
-                // A cache hit still registers: the body records which
-                // plan served the digest, and the view builds locally.
-                let plan = body_plan_kind(body).ok_or_else(|| {
-                    error_frame(
-                        Some(req.id),
-                        "bad_request",
-                        "cached body names no known plan; cannot register the view",
-                        None,
-                    )
-                })?;
-                self.register_view(req, parsed, &rels, plan, &wrap)?;
-            }
-            if coalesced {
-                self.obs.count("coalesce.hits", 1);
-            }
-            let frame = result_frame(req.id, true, started.elapsed().as_nanos(), None, body);
-            self.finish(
-                tag,
-                None,
-                true,
-                None,
-                RequestSpans {
-                    queue_ns,
-                    cache_ns,
-                    engine_ns: 0,
-                    serialize_ns: 0,
-                    total_ns: elapsed_ns(started),
-                },
-            );
-            Ok(frame)
-        };
-        // Cache lookup, then singleflight: a digest already executing is
-        // joined, not re-executed — the leader's body answers every
-        // coalesced follower (what makes client retries idempotent). A
-        // failed leader releases the followers to re-check the cache and
-        // contend for leadership themselves.
-        let mut lead: Option<Arc<InflightCell>> = None;
-        if let Some(k) = key {
-            loop {
-                if let Some(body) = self.cache.lock().expect("cache lock").get(k) {
-                    return served_from(&body, false, elapsed_ns(cache_started));
-                }
-                let cell = {
-                    let mut map = self.inflight.lock().expect("inflight lock");
-                    match map.entry(k) {
-                        Entry::Occupied(e) => Arc::clone(e.get()),
-                        Entry::Vacant(e) => {
-                            let cell: Arc<InflightCell> = Arc::default();
-                            e.insert(Arc::clone(&cell));
-                            lead = Some(cell);
-                            break;
-                        }
-                    }
-                };
-                let (slot, cv) = &*cell;
-                let mut slot = slot.lock().expect("inflight slot");
-                while !slot.done {
-                    slot = cv.wait(slot).expect("inflight slot");
-                }
-                if let Some(body) = slot.body.clone() {
-                    return served_from(&body, true, elapsed_ns(cache_started));
-                }
-            }
-        }
-        let cache_ns = elapsed_ns(cache_started);
-
-        let instrumented = self.artifact_dir.is_some();
-        let engine = self.engine_for(req.servers, choice, instrumented);
-        let engine_started = Instant::now();
-        // The run's engine carries the request's fault plan and deadline
-        // token; `engine` itself stays clean for the watchdog's explain.
-        let mut derived = engine.clone();
-        if let Some(plan) = &req.fault_plan {
-            derived = derived.faults(plan.clone());
-        }
-        if let Some(deadline) = ctx.deadline {
-            derived = derived.cancel(CancelToken::new().with_deadline(deadline));
-        }
-        let result = match derived.run(&parsed.query, &rels) {
-            Ok(result) => result,
-            Err(e) => {
-                self.settle_inflight(key, lead.take(), None);
-                return Err(mpc_error_frame(req.id, &e));
-            }
-        };
-        let engine_ns = elapsed_ns(engine_started);
-
-        self.write_artifacts(req, &result, tag);
-        let serialize_started = Instant::now();
-        let body = canonical_body(&result, req.limit);
-        let recovery = result.recovery.as_ref().map(RecoveryReport::to_json);
-        let serialize_ns = elapsed_ns(serialize_started);
-        if let Some(k) = key {
-            let shared: Arc<str> = Arc::from(body.as_str());
-            self.cache
-                .lock()
-                .expect("cache lock")
-                .insert(k, Arc::clone(&shared));
-            self.settle_inflight(key, lead.take(), Some(shared));
-        }
-        if req.register {
-            self.register_view(req, parsed, &rels, result.plan, &wrap)?;
-        }
-
-        // Watchdog: feed the verdict; on a near-violation, capture the
-        // explain artifact (a statistics-only recompile — read-only, so
-        // it cannot perturb the run or the ledger) and recovery report.
-        self.obs.record_audit(tag, &result.audit, || {
-            let explain = engine
-                .explain(&parsed.query, &rels)
-                .ok()
-                .map(|ex| ex.to_json(Some(&parsed.names)));
-            (explain, recovery.clone())
-        });
-
-        let plan = format!("{:?}", result.plan);
-        let frame = result_frame(
-            req.id,
-            false,
-            started.elapsed().as_nanos(),
-            recovery.as_ref(),
-            &body,
-        );
-        self.finish(
-            tag,
-            Some(&plan),
-            false,
-            result.audit.ratio.is_finite().then_some(result.audit.ratio),
-            RequestSpans {
-                queue_ns,
-                cache_ns,
-                engine_ns,
-                serialize_ns,
-                total_ns: elapsed_ns(started),
-            },
-        );
-        Ok(frame)
     }
 
     /// Resolve a singleflight entry this thread leads: publish the
@@ -747,35 +405,6 @@ impl Executor {
         cv.notify_all();
     }
 
-    /// Record a successful run's spans + histograms and log its
-    /// `complete` event.
-    fn finish(
-        &self,
-        tag: &RequestTag,
-        plan: Option<&str>,
-        cached: bool,
-        ratio: Option<f64>,
-        spans: RequestSpans,
-    ) {
-        self.obs.observe_spans(&spans);
-        if let Some(plan) = plan {
-            self.obs.observe_plan(plan, spans.total_ns);
-        }
-        let mut fields = tag.fields();
-        fields.extend([
-            ("kind".into(), Json::Str("query".into())),
-            ("outcome".into(), Json::Str("result".into())),
-            ("cached".into(), Json::Bool(cached)),
-            (
-                "plan".into(),
-                plan.map_or(Json::Null, |p| Json::Str(p.into())),
-            ),
-            ("ratio".into(), ratio.map_or(Json::Null, Json::Num)),
-            ("spans".into(), spans.to_json()),
-        ]);
-        self.obs.log_event("info", "complete", fields);
-    }
-
     fn engine_for(&self, servers: usize, choice: PlanChoice, instrumented: bool) -> QueryEngine {
         QueryEngine::new(servers)
             .threads(self.threads_per_job)
@@ -784,65 +413,306 @@ impl Executor {
             .metrics(instrumented)
     }
 
-    /// Flush this run's trace/metrics artifacts (observability is
-    /// best-effort: a full disk must not fail the query). Traces carry
-    /// the request tag (`rid`/`id`/`session`), linking the artifact's
-    /// `mpcjoin-trace-v3` round events to the span + log plane, and the
-    /// rid lands in the filename so pipelined duplicates of one client
-    /// id never overwrite each other.
-    fn write_artifacts<S: Semiring>(
-        &self,
-        req: &QueryRequest,
-        result: &ExecutionResult<S>,
-        tag: &RequestTag,
-    ) {
+    /// Flush one per-request artifact (`doc` is only rendered when an
+    /// artifact directory is configured). Observability is best-effort:
+    /// a full disk must not fail the query. The rid lands in the
+    /// filename so pipelined duplicates of one client id never overwrite
+    /// each other.
+    fn write_artifact(&self, stem: &str, tag: &RequestTag, doc: impl FnOnce() -> String) {
         let Some(dir) = &self.artifact_dir else {
             return;
         };
-        let session = sanitize_session(&req.session);
-        if let Some(trace) = &result.trace {
-            let path = dir.join(format!("trace_{session}_{}_r{}.json", req.id, tag.rid));
-            let doc = trace.to_json_tagged(
-                Some(&result.audit.to_json()),
-                result.recovery.as_ref(),
-                Some(&tag.to_json()),
-            );
-            if let Err(e) = std::fs::write(&path, doc) {
-                eprintln!("artifact write failed: {}: {e}", path.display());
-            }
-        }
-        if let Some(snap) = &result.metrics {
-            let path = dir.join(format!("metrics_{session}_{}_r{}.json", req.id, tag.rid));
-            if let Err(e) = std::fs::write(&path, snap.to_json()) {
-                eprintln!("artifact write failed: {}: {e}", path.display());
-            }
-        }
-    }
-
-    /// Flush one update's `mpcjoin-delta-v1` decision document
-    /// (best-effort, like every artifact write).
-    fn write_delta_artifact(&self, req: &UpdateRequest, delta_doc: &Json, tag: &RequestTag) {
-        let Some(dir) = &self.artifact_dir else {
-            return;
-        };
-        let session = sanitize_session(&req.session);
-        let path = dir.join(format!("delta_{session}_{}_r{}.json", req.id, tag.rid));
-        let Json::Obj(members) = delta_doc else {
-            return;
-        };
-        let mut members = members.clone();
-        members.push(("tag".into(), tag.to_json()));
-        if let Err(e) = std::fs::write(&path, Json::Obj(members).to_string_sanitized()) {
+        let session: String = tag
+            .session
+            .chars()
+            .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+            .collect();
+        let path = dir.join(format!("{stem}_{session}_{}_r{}.json", tag.id, tag.rid));
+        if let Err(e) = std::fs::write(&path, doc()) {
             eprintln!("artifact write failed: {}: {e}", path.display());
         }
     }
 }
 
-fn sanitize_session(session: &str) -> String {
-    session
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
+impl SemiringVisitor for Scope<'_, QueryRequest> {
+    type Out = Result<Answer, WireError>;
+
+    /// The query pipeline for one concrete semiring: cache lookup and
+    /// singleflight, else a cold engine run whose canonical body is
+    /// cached, audited and (for a registering query) materialized.
+    fn visit<S: Semiring>(self, weight: fn(Option<i64>) -> S) -> Self::Out {
+        let Scope {
+            ex,
+            req,
+            parsed,
+            choice,
+            started,
+            tag,
+            ctx,
+        } = self;
+        let spans = |cache_ns, engine_ns, serialize_ns| RequestSpans {
+            queue_ns: ctx.queue_ns,
+            cache_ns,
+            engine_ns,
+            serialize_ns,
+            total_ns: elapsed_ns(started),
+        };
+        ex.obs.count(&format!("semiring.{}", req.semiring), 1);
+        let rels = build_relations(&req.relations, parsed, weight)?;
+
+        // Faulted requests bypass the cache in both directions: they must
+        // actually exercise the recovery path, and their (identical)
+        // output must not shadow the clean run's entry semantics.
+        let cache_started = Instant::now();
+        let key = req.fault_plan.is_none().then(|| {
+            request_digest(
+                &req.semiring,
+                req.servers,
+                &req.plan,
+                req.limit,
+                &req.relations,
+                parsed,
+            )
+        });
+        let served_from = |body: &str, coalesced: bool, cache_ns: u64| {
+            if req.register {
+                // A cache hit still registers: the body records which
+                // plan served the digest, and the view builds locally.
+                let plan = body_plan_kind(body).ok_or_else(|| {
+                    WireError::new(
+                        "bad_request",
+                        "cached body names no known plan; cannot register the view",
+                    )
+                })?;
+                ex.register_view(req, parsed, &rels, plan)?;
+            }
+            if coalesced {
+                ex.obs.count("coalesce.hits", 1);
+            }
+            Ok(Answer {
+                frame: result_frame(req.id, true, started.elapsed().as_nanos(), None, body),
+                run: Some((spans(cache_ns, 0, 0), None)),
+            })
+        };
+        // Cache lookup, then singleflight: a digest already executing is
+        // joined, not re-executed — the leader's body answers every
+        // coalesced follower (what makes client retries idempotent). A
+        // failed leader releases the followers to re-check the cache and
+        // contend for leadership themselves.
+        let mut lead: Option<Arc<InflightCell>> = None;
+        if let Some(k) = key {
+            loop {
+                if let Some(body) = ex.cache.lock().expect("cache lock").get(k) {
+                    return served_from(&body, false, elapsed_ns(cache_started));
+                }
+                let cell = {
+                    let mut map = ex.inflight.lock().expect("inflight lock");
+                    match map.entry(k) {
+                        Entry::Occupied(e) => Arc::clone(e.get()),
+                        Entry::Vacant(e) => {
+                            let cell: Arc<InflightCell> = Arc::default();
+                            e.insert(Arc::clone(&cell));
+                            lead = Some(cell);
+                            break;
+                        }
+                    }
+                };
+                let (slot, cv) = &*cell;
+                let mut slot = slot.lock().expect("inflight slot");
+                while !slot.done {
+                    slot = cv.wait(slot).expect("inflight slot");
+                }
+                if let Some(body) = slot.body.clone() {
+                    return served_from(&body, true, elapsed_ns(cache_started));
+                }
+            }
+        }
+        let cache_ns = elapsed_ns(cache_started);
+
+        let instrumented = ex.artifact_dir.is_some();
+        let engine = ex.engine_for(req.servers, choice, instrumented);
+        let engine_started = Instant::now();
+        // The run's engine carries the request's fault plan and deadline
+        // token; `engine` itself stays clean for the watchdog's explain.
+        let mut derived = engine.clone();
+        if let Some(plan) = &req.fault_plan {
+            derived = derived.faults(plan.clone());
+        }
+        if let Some(deadline) = ctx.deadline {
+            derived = derived.cancel(CancelToken::new().with_deadline(deadline));
+        }
+        let result = match derived.run(&parsed.query, &rels) {
+            Ok(result) => result,
+            Err(e) => {
+                ex.settle_inflight(key, lead.take(), None);
+                return Err(e.into());
+            }
+        };
+        let engine_ns = elapsed_ns(engine_started);
+
+        // Traces carry the request tag (`rid`/`id`/`session`), linking
+        // the artifact's `mpcjoin-trace-v3` round events to the span +
+        // log plane.
+        if let Some(trace) = &result.trace {
+            ex.write_artifact("trace", tag, || {
+                trace.to_json_tagged(
+                    Some(&result.audit.to_json()),
+                    result.recovery.as_ref(),
+                    Some(&tag.to_json()),
+                )
+            });
+        }
+        if let Some(snap) = &result.metrics {
+            ex.write_artifact("metrics", tag, || snap.to_json());
+        }
+        let serialize_started = Instant::now();
+        let body = canonical_body(&result, req.limit);
+        let recovery = result.recovery.as_ref().map(RecoveryReport::to_json);
+        let serialize_ns = elapsed_ns(serialize_started);
+        if let Some(k) = key {
+            let shared: Arc<str> = Arc::from(body.as_str());
+            ex.cache
+                .lock()
+                .expect("cache lock")
+                .insert(k, Arc::clone(&shared));
+            ex.settle_inflight(key, lead.take(), Some(shared));
+        }
+        if req.register {
+            ex.register_view(req, parsed, &rels, result.plan)?;
+        }
+
+        // Watchdog: feed the verdict; on a near-violation, capture the
+        // explain artifact (a statistics-only recompile — read-only, so
+        // it cannot perturb the run or the ledger) and recovery report.
+        ex.obs.record_audit(tag, &result.audit, || {
+            let explain = engine
+                .explain(&parsed.query, &rels)
+                .ok()
+                .map(|ex| ex.to_json(Some(&parsed.names)));
+            (explain, recovery.clone())
+        });
+
+        let elapsed = started.elapsed().as_nanos();
+        let ratio = result.audit.ratio;
+        let cold = (
+            format!("{:?}", result.plan),
+            ratio.is_finite().then_some(ratio),
+        );
+        Ok(Answer {
+            frame: result_frame(req.id, false, elapsed, recovery.as_ref(), &body),
+            run: Some((spans(cache_ns, engine_ns, serialize_ns), Some(cold))),
+        })
+    }
+}
+
+impl SemiringVisitor for Scope<'_, UpdateRequest> {
+    type Out = Result<Answer, WireError>;
+
+    /// The update pipeline for one concrete semiring: look up the view,
+    /// edit its authoritative row list, absorb the delta on the engine
+    /// (incremental where the classification allows, deterministic rerun
+    /// otherwise), then *revalidate* the cache — recompute the updated
+    /// instance's canonical body cold and install it under the updated
+    /// digest, so the next identical query is a byte-identical hit.
+    fn visit<S: Semiring>(self, weight: fn(Option<i64>) -> S) -> Self::Out {
+        let Scope {
+            ex,
+            req,
+            parsed,
+            choice,
+            started,
+            tag,
+            ..
+        } = self;
+        let key = view_key(&req.session, &req.semiring, req.servers, &req.plan, parsed);
+        let cell = ex
+            .views
+            .lock()
+            .expect("view registry lock")
+            .get(&key)
+            .cloned()
+            .ok_or_else(|| {
+                WireError::new(
+                    "unknown_view",
+                    "no registered view for this (session, query, semiring, servers, plan); \
+                     send the query frame with \"register\":true first",
+                )
+            })?;
+        // The view mutex is held across the whole absorption, so updates
+        // against one view apply in a total order.
+        let mut guard = cell.lock().expect("view lock");
+        let entry = guard
+            .downcast_mut::<ViewEntry<S>>()
+            .expect("the view key hashes the semiring name");
+
+        // All-or-nothing validation: both the edited row list and the
+        // delta batch are built (and every delete's target row located)
+        // before any state changes.
+        let relations = edited_row_list(req, &entry.relations)?;
+        let batch = build_batch(req, parsed, weight)?;
+        let rels = build_relations(&relations, parsed, weight)?;
+
+        let engine = ex.engine_for(req.servers, choice, false);
+        // An engine error past this point can leave the view mid-patch,
+        // so the entry is evicted on failure (the client re-registers).
+        let evict = |e: MpcError| {
+            ex.views.lock().expect("view registry lock").remove(&key);
+            WireError::from(e)
+        };
+        let outcome = engine.apply_delta(&mut entry.view, &batch).map_err(evict)?;
+        if outcome.report.class == Maintainability::RerunFallback {
+            ex.obs.count("delta.fallback", 1);
+            // Row-list semantics are authoritative: rebuild the view from
+            // the edited list (bag-level withdrawal can diverge from
+            // row-level deletion when the list holds duplicate rows under
+            // a non-ring semiring).
+            let plan = entry.view.plan();
+            entry.view = MaterializedView::new(&parsed.query, &rels, plan).map_err(evict)?;
+        } else {
+            ex.obs.count("delta.applied", 1);
+        }
+
+        // Revalidation: a cold deterministic rerun over the updated
+        // instance rebuilds the canonical body byte-identically to what
+        // a fresh query would produce, and installs it under the updated
+        // digest — the next identical query frame is a cache hit.
+        let result = engine.run(&parsed.query, &rels).map_err(evict)?;
+        let body = canonical_body(&result, req.limit);
+        let digest = request_digest(
+            &req.semiring,
+            req.servers,
+            &req.plan,
+            req.limit,
+            &relations,
+            parsed,
+        );
+        entry.relations = relations;
+        ex.cache
+            .lock()
+            .expect("cache lock")
+            .insert(digest, Arc::from(body.as_str()));
+        ex.obs.count("cache.revalidated", 1);
+
+        let Json::Obj(mut members) = outcome.report.to_json() else {
+            unreachable!("delta reports serialize to objects");
+        };
+        members.push(("load".into(), Json::Num(outcome.result.cost.load as f64)));
+        members.push(("audit".into(), outcome.result.audit.to_json()));
+        ex.write_artifact("delta", tag, || {
+            let mut members = members.clone();
+            members.push(("tag".into(), tag.to_json()));
+            Json::Obj(members).to_string_sanitized()
+        });
+        Ok(Answer {
+            frame: update_frame(
+                req.id,
+                started.elapsed().as_nanos(),
+                &Json::Obj(members),
+                &body,
+            ),
+            run: None,
+        })
+    }
 }
 
 /// What the scheduler / wire layer knows about a request beyond its
@@ -873,41 +743,51 @@ fn elapsed_ns(since: Instant) -> u64 {
     since.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Bind the request's relation rows to the parsed query's body atoms and
-/// build annotated relations; row values follow the edge's attribute
-/// order, with an optional trailing weight.
+/// Bind one wire row of relation `name` (row `j`) to an edge of `arity`
+/// attributes: the edge's non-negative values in attribute order, plus
+/// the optional trailing weight.
+fn bind_row(
+    name: &str,
+    j: usize,
+    row: &[i64],
+    arity: usize,
+) -> Result<(Vec<Value>, Option<i64>), WireError> {
+    let bad = |detail: String| WireError::new("bad_request", detail);
+    if row.len() != arity && row.len() != arity + 1 {
+        return Err(bad(format!(
+            "relation `{name}` row {j}: expected {arity} values (plus an optional weight), got {}",
+            row.len()
+        )));
+    }
+    let values = row[..arity]
+        .iter()
+        .map(|&v| {
+            Value::try_from(v)
+                .map_err(|_| bad(format!("relation `{name}` row {j}: negative value {v}")))
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((values, row.get(arity).copied()))
+}
+
+/// Bind a frame's relation rows to the parsed query's body atoms and
+/// build annotated relations (row conventions: [`bind_row`]).
 fn build_relations<S: Semiring>(
-    req: &QueryRequest,
+    relations: &RowMap,
     parsed: &ParsedQuery,
-    mut weight: impl FnMut(Option<i64>) -> S,
-) -> Result<Vec<Relation<S>>, String> {
-    let bad = |detail: String| error_frame(Some(req.id), "bad_request", &detail, None);
+    weight: fn(Option<i64>) -> S,
+) -> Result<Vec<Relation<S>>, WireError> {
     let mut rels = Vec::with_capacity(parsed.relation_names.len());
-    for (i, name) in parsed.relation_names.iter().enumerate() {
-        let rows = req
-            .relations
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, rows)| rows)
-            .ok_or_else(|| bad(format!("no rows provided for relation `{name}`")))?;
-        let edge = &parsed.query.edges()[i];
-        let arity = edge.attrs().len();
+    for (name, edge) in parsed.relation_names.iter().zip(parsed.query.edges()) {
+        let (_, rows) = relations.iter().find(|(n, _)| n == name).ok_or_else(|| {
+            WireError::new(
+                "bad_request",
+                format!("no rows provided for relation `{name}`"),
+            )
+        })?;
         let mut rel = Relation::empty(Schema::new(edge.attrs().to_vec()));
         for (j, row) in rows.iter().enumerate() {
-            if row.len() != arity && row.len() != arity + 1 {
-                return Err(bad(format!(
-                    "relation `{name}` row {j}: expected {arity} values (plus an optional weight), got {}",
-                    row.len()
-                )));
-            }
-            let values: Vec<Value> = row[..arity]
-                .iter()
-                .map(|&v| {
-                    Value::try_from(v)
-                        .map_err(|_| bad(format!("relation `{name}` row {j}: negative value {v}")))
-                })
-                .collect::<Result<_, _>>()?;
-            rel.push(values, weight(row.get(arity).copied()));
+            let (values, w) = bind_row(name, j, row, edge.attrs().len())?;
+            rel.push(values, weight(w));
         }
         rels.push(rel);
     }
@@ -959,14 +839,13 @@ fn body_plan_kind(body: &str) -> Option<PlanKind> {
 
 /// Apply an update's row-level edits to a view's wire row list
 /// (inserts append, then each delete removes one exactly-matching row —
-/// trailing weight included). `Err` carries a `bad_request` frame; the
-/// input list is untouched on error by construction (the edits operate
-/// on a clone).
+/// trailing weight included). The input list is untouched on error by
+/// construction (the edits operate on a clone).
 fn edited_row_list(
     req: &UpdateRequest,
-    relations: &[(String, Vec<Vec<i64>>)],
-) -> Result<Vec<(String, Vec<Vec<i64>>)>, String> {
-    let bad = |detail: String| error_frame(Some(req.id), "bad_request", &detail, None);
+    relations: &RowMap,
+) -> Result<Vec<(String, Vec<Vec<i64>>)>, WireError> {
+    let bad = |detail: String| WireError::new("bad_request", detail);
     let mut edited = relations.to_vec();
     for (name, rows) in &req.inserts {
         let slot = edited
@@ -992,14 +871,12 @@ fn edited_row_list(
 }
 
 /// Build the [`DeltaBatch`] an update frame describes, binding each
-/// relation name to its query edge and parsing rows under the same
-/// conventions as [`build_relations`].
+/// relation name to its query edge (row conventions: [`bind_row`]).
 fn build_batch<S: Semiring>(
     req: &UpdateRequest,
     parsed: &ParsedQuery,
-    mut weight: impl FnMut(Option<i64>) -> S,
-) -> Result<DeltaBatch<S>, String> {
-    let bad = |detail: String| error_frame(Some(req.id), "bad_request", &detail, None);
+    weight: fn(Option<i64>) -> S,
+) -> Result<DeltaBatch<S>, WireError> {
     let mut batch = DeltaBatch::new(parsed.query.edges().len());
     for (side, is_delete) in [(&req.inserts, false), (&req.deletes, true)] {
         for (name, rows) in side {
@@ -1007,29 +884,19 @@ fn build_batch<S: Semiring>(
                 .relation_names
                 .iter()
                 .position(|n| n == name)
-                .ok_or_else(|| bad(format!("relation `{name}` is not part of the query")))?;
-            let edge = &parsed.query.edges()[k];
-            let arity = edge.attrs().len();
+                .ok_or_else(|| {
+                    WireError::new(
+                        "bad_request",
+                        format!("relation `{name}` is not part of the query"),
+                    )
+                })?;
+            let arity = parsed.query.edges()[k].attrs().len();
             for (j, row) in rows.iter().enumerate() {
-                if row.len() != arity && row.len() != arity + 1 {
-                    return Err(bad(format!(
-                        "relation `{name}` row {j}: expected {arity} values (plus an optional weight), got {}",
-                        row.len()
-                    )));
-                }
-                let values: Vec<Value> = row[..arity]
-                    .iter()
-                    .map(|&v| {
-                        Value::try_from(v).map_err(|_| {
-                            bad(format!("relation `{name}` row {j}: negative value {v}"))
-                        })
-                    })
-                    .collect::<Result<_, _>>()?;
-                let annot = weight(row.get(arity).copied());
+                let (values, w) = bind_row(name, j, row, arity)?;
                 if is_delete {
-                    batch.delete(k, values, annot);
+                    batch.delete(k, values, weight(w));
                 } else {
-                    batch.insert(k, values, annot);
+                    batch.insert(k, values, weight(w));
                 }
             }
         }
@@ -1037,33 +904,37 @@ fn build_batch<S: Semiring>(
     Ok(batch)
 }
 
-/// The canonical token stream a cacheable request digests to. Relation
+/// The cache digest of a request, over its canonical token stream. Relation
 /// and attribute *names* never enter the stream (attributes are the
 /// parser's appearance-ordered ids; relations bind to atoms by
 /// position), and rows are sorted, so renamed or reordered spellings of
-/// the same run share a cache entry.
-fn digest_stream(req: &QueryRequest, parsed: &ParsedQuery) -> Vec<u64> {
+/// the same run share a cache entry. The semiring enters as its index
+/// in the wire vocabulary (unknown names never reach the digest).
+fn request_digest(
+    semiring: &str,
+    servers: usize,
+    plan: &str,
+    limit: Option<usize>,
+    relations: &RowMap,
+    parsed: &ParsedQuery,
+) -> u128 {
     let mut tokens: Vec<u64> = vec![
-        match req.semiring.as_str() {
-            "count" => 0,
-            "bool" => 1,
-            "minplus" => 2,
-            _ => 3, // mincount (unknown semirings never reach the digest)
-        },
-        req.servers as u64,
-        stable_hash(req.plan.as_str()),
-        req.limit.map_or(u64::MAX, |n| n as u64),
+        SEMIRING_NAMES
+            .iter()
+            .position(|n| *n == semiring)
+            .map_or(u64::MAX, |tag| tag as u64),
+        servers as u64,
+        stable_hash(plan),
+        limit.map_or(u64::MAX, |n| n as u64),
     ];
     query_tokens(parsed, &mut tokens);
     // Relation data, bound in atom order, rows sorted.
     for name in &parsed.relation_names {
-        let rows = req
-            .relations
+        let mut rows = relations
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, rows)| rows.clone())
             .unwrap_or_default();
-        let mut rows = rows;
         rows.sort_unstable();
         tokens.push(rows.len() as u64);
         for row in rows {
@@ -1071,15 +942,12 @@ fn digest_stream(req: &QueryRequest, parsed: &ParsedQuery) -> Vec<u64> {
             tokens.extend(row.iter().map(|&v| v as u64));
         }
     }
-    tokens
+    digest_tokens(&tokens)
 }
 
 /// Serialize a run's deterministic summary + output rows. Excludes
 /// wall-clock and recovery by design (see the module docs).
-fn canonical_body<S: Semiring + std::fmt::Debug>(
-    result: &ExecutionResult<S>,
-    limit: Option<usize>,
-) -> String {
+fn canonical_body<S: Semiring>(result: &ExecutionResult<S>, limit: Option<usize>) -> String {
     let canonical = result.output.canonical();
     let shown = limit.unwrap_or(canonical.len()).min(canonical.len());
     let rows: Vec<Json> = canonical[..shown]

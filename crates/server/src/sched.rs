@@ -26,9 +26,9 @@
 //! over the scheduler's lifetime. [`Scheduler::shutdown`] then stops and
 //! joins the workers.
 
-use crate::obs::{Obs, RequestTag};
+use crate::obs::Obs;
 use crate::run::{Executor, RequestCtx};
-use crate::wire::{error_frame, QueryRequest};
+use crate::wire::{QueryRequest, WireError};
 use mpcjoin::mpc::json::Json;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -110,6 +110,22 @@ pub struct SchedStats {
     pub rejected_cost: u64,
     /// Queued jobs shed (unexecuted) because their deadline expired.
     pub shed_deadline: u64,
+}
+
+impl SchedStats {
+    /// The counters as a `(name, value)` list — the one field list the
+    /// stats payload's JSON and text renderings are both built from.
+    pub fn fields(&self) -> [(&'static str, u64); 7] {
+        [
+            ("admitted", self.admitted),
+            ("completed", self.completed),
+            ("rejected_overload", self.rejected_overload),
+            ("rejected_quota", self.rejected_quota),
+            ("rejected_draining", self.rejected_draining),
+            ("rejected_cost", self.rejected_cost),
+            ("shed_deadline", self.shed_deadline),
+        ]
+    }
 }
 
 struct Job {
@@ -258,137 +274,35 @@ impl Scheduler {
         let inner = &self.inner;
         // Admission pricing runs outside the queue lock: both checks are
         // pure reads of the request (compilation is statistics-only).
-        let priced = if Executor::relation_bytes(&request) > inner.cfg.max_relation_bytes {
-            inner.rejected_cost.fetch_add(1, Ordering::Relaxed);
-            Some((
-                "cost_exceeded",
-                error_frame(
-                    Some(request.id),
-                    "cost_exceeded",
-                    &format!(
-                        "relation payload {} bytes exceeds the {}-byte budget",
-                        Executor::relation_bytes(&request),
-                        inner.cfg.max_relation_bytes
-                    ),
-                    None,
-                ),
-            ))
-        } else if inner.cfg.cost_ceiling.is_finite() {
-            match inner.executor.predicted_bound(&request) {
-                Some(bound) if bound > inner.cfg.cost_ceiling => {
-                    inner.rejected_cost.fetch_add(1, Ordering::Relaxed);
-                    Some((
-                        "cost_exceeded",
-                        error_frame(
-                            Some(request.id),
-                            "cost_exceeded",
-                            &format!(
-                                "predicted load bound {bound:.0} exceeds the ceiling {:.0}",
-                                inner.cfg.cost_ceiling
-                            ),
-                            None,
-                        ),
-                    ))
-                }
-                _ => None,
+        let (counter, e) = 'refused: {
+            if let Some(priced) = inner.price(&request) {
+                break 'refused priced;
             }
-        } else {
-            None
-        };
-        if let Some((reason, frame)) = priced {
-            self.deliver_rejection(rid, &request, reason, frame, respond);
-            return;
-        }
-        let rejection = {
             let mut state = inner.state.lock().expect("scheduler lock");
-            if state.draining || state.stopped {
-                inner.rejected_draining.fetch_add(1, Ordering::Relaxed);
-                Some((
-                    "draining",
-                    error_frame(
-                        Some(request.id),
-                        "draining",
-                        "server is shutting down; no new work admitted",
-                        None,
-                    ),
-                ))
-            } else if state.queue.len() >= inner.cfg.queue_cap {
-                inner.rejected_overload.fetch_add(1, Ordering::Relaxed);
-                Some((
-                    "overloaded",
-                    error_frame(
-                        Some(request.id),
-                        "overloaded",
-                        &format!("admission queue full ({} queued)", state.queue.len()),
-                        Some(inner.cfg.retry_after_ms),
-                    ),
-                ))
-            } else {
-                let load = state
-                    .session_load
-                    .entry(request.session.clone())
-                    .or_insert(0);
-                if *load >= inner.cfg.session_quota {
-                    inner.rejected_quota.fetch_add(1, Ordering::Relaxed);
-                    Some((
-                        "quota_exceeded",
-                        error_frame(
-                            Some(request.id),
-                            "quota_exceeded",
-                            &format!(
-                                "session `{}` already has {load} jobs in flight (quota {})",
-                                request.session, inner.cfg.session_quota
-                            ),
-                            Some(inner.cfg.retry_after_ms),
-                        ),
-                    ))
-                } else {
-                    *load += 1;
-                    inner.admitted.fetch_add(1, Ordering::Relaxed);
-                    inner.obs.queue_enter();
-                    let now = Instant::now();
-                    state.queue.push_back(Job {
-                        rid,
-                        enqueued: now,
-                        deadline: request
-                            .deadline_ms
-                            .map(|ms| now + Duration::from_millis(ms)),
-                        request,
-                        respond: Box::new(respond),
-                    });
-                    inner.work_cv.notify_one();
-                    return;
-                }
+            if let Some(refused) = inner.refuse(&state, &request) {
+                break 'refused refused;
             }
+            *state
+                .session_load
+                .entry(request.session.clone())
+                .or_insert(0) += 1;
+            inner.admitted.fetch_add(1, Ordering::Relaxed);
+            inner.obs.queue_enter();
+            let now = Instant::now();
+            state.queue.push_back(Job {
+                rid,
+                enqueued: now,
+                deadline: request
+                    .deadline_ms
+                    .map(|ms| now + Duration::from_millis(ms)),
+                request,
+                respond: Box::new(respond),
+            });
+            inner.work_cv.notify_one();
+            return;
         };
-        // Rejection frames are counted, logged, and delivered outside
-        // the lock.
-        if let Some((reason, frame)) = rejection {
-            self.deliver_rejection(rid, &request, reason, frame, respond);
-        }
-    }
-
-    /// Count, log, and deliver a rejection frame (the caller already
-    /// bumped the reason-specific counter).
-    fn deliver_rejection(
-        &self,
-        rid: u64,
-        request: &QueryRequest,
-        reason: &str,
-        frame: String,
-        respond: impl FnOnce(String) + Send + 'static,
-    ) {
-        let inner = &self.inner;
-        inner.obs.count(&format!("error.{reason}"), 1);
-        let tag = RequestTag {
-            rid,
-            id: request.id,
-            session: request.session.clone(),
-        };
-        let mut fields = tag.fields();
-        fields.push(("reason".into(), Json::Str(reason.into())));
-        inner.obs.log_event("info", "reject", fields);
-        (respond)(frame);
+        // Rejections are counted, logged, and delivered outside the lock.
+        (respond)(inner.reject(counter, rid, &request, e));
     }
 
     /// Stop admitting work, wait until the queue is empty and every
@@ -427,24 +341,13 @@ impl Scheduler {
         for job in shed {
             // Shed jobs were admitted, so balance the gauges exactly as
             // a worker pop would before answering.
-            inner.rejected_draining.fetch_add(1, Ordering::Relaxed);
-            inner.obs.count("error.draining", 1);
             inner.obs.job_start();
             inner.obs.job_end();
-            let tag = RequestTag {
-                rid: job.rid,
-                id: job.request.id,
-                session: job.request.session.clone(),
-            };
-            let mut fields = tag.fields();
-            fields.push(("reason".into(), Json::Str("draining".into())));
-            inner.obs.log_event("info", "reject", fields);
-            (job.respond)(error_frame(
-                Some(job.request.id),
+            let e = WireError::new(
                 "draining",
                 "drain deadline reached before this job could run",
-                None,
-            ));
+            );
+            (job.respond)(inner.reject(&inner.rejected_draining, job.rid, &job.request, e));
         }
         let mut fields = vec![("completed".into(), Json::Num(completed as f64))];
         if shed_count > 0 {
@@ -500,6 +403,76 @@ impl Scheduler {
     }
 }
 
+impl Inner {
+    /// Priced admission: the relation-byte budget, then the compiler's
+    /// predicted load bound against the cost ceiling.
+    fn price(&self, request: &QueryRequest) -> Option<(&AtomicU64, WireError)> {
+        let cfg = &self.cfg;
+        let bytes = Executor::relation_bytes(request);
+        let detail = if bytes > cfg.max_relation_bytes {
+            format!(
+                "relation payload {bytes} bytes exceeds the {}-byte budget",
+                cfg.max_relation_bytes
+            )
+        } else if cfg.cost_ceiling.is_finite() {
+            let bound = self.executor.predicted_bound(request)?;
+            if bound <= cfg.cost_ceiling {
+                return None;
+            }
+            format!(
+                "predicted load bound {bound:.0} exceeds the ceiling {:.0}",
+                cfg.cost_ceiling
+            )
+        } else {
+            return None;
+        };
+        Some((&self.rejected_cost, WireError::new("cost_exceeded", detail)))
+    }
+
+    /// Queue admission, under the state lock: why `request` cannot be
+    /// queued right now (draining, queue full, session over quota).
+    fn refuse(&self, state: &State, request: &QueryRequest) -> Option<(&AtomicU64, WireError)> {
+        let cfg = &self.cfg;
+        if state.draining || state.stopped {
+            let detail = "server is shutting down; no new work admitted";
+            return Some((&self.rejected_draining, WireError::new("draining", detail)));
+        }
+        let load = state.session_load.get(&request.session).map_or(0, |n| *n);
+        let (counter, code, detail) = if state.queue.len() >= cfg.queue_cap {
+            let detail = format!("admission queue full ({} queued)", state.queue.len());
+            (&self.rejected_overload, "overloaded", detail)
+        } else if load >= cfg.session_quota {
+            let detail = format!(
+                "session `{}` already has {load} jobs in flight (quota {})",
+                request.session, cfg.session_quota
+            );
+            (&self.rejected_quota, "quota_exceeded", detail)
+        } else {
+            return None;
+        };
+        // Backpressure is a retryable answer; draining is not.
+        let mut e = WireError::new(code, detail);
+        e.retry_after_ms = Some(cfg.retry_after_ms);
+        Some((counter, e))
+    }
+
+    /// The scheduler's rejection epilogue: bump the reason's counter,
+    /// then hand the error to [`Obs::reject`] (event, `error.{code}`,
+    /// frame) under the request's id and session.
+    fn reject(
+        &self,
+        counter: &AtomicU64,
+        rid: u64,
+        request: &QueryRequest,
+        mut e: WireError,
+    ) -> String {
+        counter.fetch_add(1, Ordering::Relaxed);
+        e.id = Some(request.id);
+        let session = Json::Str(request.session.clone());
+        self.obs.reject(rid, ("session", session), &e)
+    }
+}
+
 /// Release one queued-or-running slot of `session`'s quota.
 fn release_session(state: &mut State, session: &str) {
     if let Some(load) = state.session_load.get_mut(session) {
@@ -530,26 +503,15 @@ fn worker_loop(inner: &Inner) {
             // The deadline expired while the job was queued: shed it
             // before doing any work. A shed is a rejection, not a
             // completion — `completed` stays put.
-            inner.shed_deadline.fetch_add(1, Ordering::Relaxed);
-            inner.obs.count("error.deadline_exceeded", 1);
-            let tag = RequestTag {
-                rid: job.rid,
-                id: job.request.id,
-                session: job.request.session.clone(),
-            };
-            let mut fields = tag.fields();
-            fields.push(("reason".into(), Json::Str("deadline_exceeded".into())));
-            inner.obs.log_event("info", "reject", fields);
             inner.obs.job_end();
-            error_frame(
-                Some(job.request.id),
+            let e = WireError::new(
                 "deadline_exceeded",
-                &format!(
+                format!(
                     "deadline expired after {}ms in queue",
                     job.enqueued.elapsed().as_millis()
                 ),
-                None,
-            )
+            );
+            inner.reject(&inner.shed_deadline, job.rid, &job.request, e)
         } else {
             let queue_ns = job.enqueued.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             let ctx = RequestCtx {

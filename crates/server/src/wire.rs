@@ -24,7 +24,8 @@
 //! `servers` (simulated cluster width), `plan`
 //! (`auto|costbased|heuristic|baseline|matmul|line|star|starlike|tree|yannakakis|cec`),
 //! `limit` (maximum output rows echoed back; all by default), `delay_ms`
-//! (artificial pre-execution stall — a load-testing/straggler knob),
+//! (artificial pre-execution stall — a load-testing/straggler knob, at
+//! most [`MAX_DELAY_MS`] and never past the request's own deadline),
 //! `fault_plan` (an embedded `mpcjoin-faultplan-v1` document injected
 //! into the run; such runs bypass the result cache) and `fault_seed`.
 //!
@@ -113,6 +114,9 @@ pub const MAX_SESSION_BYTES: usize = 256;
 pub const MAX_RELATIONS: usize = 64;
 /// Header-sanity cap: values per relation row.
 pub const MAX_ROW_WIDTH: usize = 32;
+/// Header-sanity cap: the `delay_ms` testing stall. The stall occupies a
+/// worker, so one frame must not be able to park it indefinitely.
+pub const MAX_DELAY_MS: u64 = 10_000;
 
 /// A parsed client→server frame.
 #[derive(Debug)]
@@ -146,6 +150,23 @@ pub enum Frame {
         /// Echoed request id.
         id: Option<u64>,
     },
+}
+
+impl Frame {
+    /// Give a query, explain or update frame that named no `session`
+    /// the connection's identity (a no-op for the other kinds). Done
+    /// once, before dispatch: quotas, view keys and log events must all
+    /// see the same session.
+    pub fn default_session(&mut self, session: &str) {
+        let slot = match self {
+            Frame::Query(req) | Frame::Explain(req) => &mut req.session,
+            Frame::Update(req) => &mut req.session,
+            Frame::Ping { .. } | Frame::Stats { .. } | Frame::Shutdown { .. } => return,
+        };
+        if slot.is_empty() {
+            *slot = session.to_string();
+        }
+    }
 }
 
 /// A `type: "query"` frame, validated for shape (not yet for semantics —
@@ -218,20 +239,33 @@ pub struct WireError {
     pub code: &'static str,
     /// Human-readable description (byte offsets for parse errors).
     pub detail: String,
+    /// Retry hint of a backpressure rejection.
+    pub retry_after_ms: Option<u64>,
 }
 
 impl WireError {
-    fn frame(code: &'static str, detail: impl Into<String>) -> WireError {
+    /// An error not yet tied to a request: whoever knows the request's
+    /// `id` (the frame parser, the executor's epilogue, the scheduler)
+    /// fills it in before the error is rendered.
+    pub(crate) fn new(code: &'static str, detail: impl Into<String>) -> WireError {
         WireError {
             id: None,
             code,
             detail: detail.into(),
+            retry_after_ms: None,
         }
     }
 
     /// Render as an error frame line.
     pub fn to_frame(&self) -> String {
-        error_frame(self.id, self.code, &self.detail, None)
+        error_frame(self.id, self.code, &self.detail, self.retry_after_ms)
+    }
+}
+
+/// An engine failure keeps its [`MpcError::code`] on the wire.
+impl From<MpcError> for WireError {
+    fn from(e: MpcError) -> WireError {
+        WireError::new(e.code(), e.to_string())
     }
 }
 
@@ -240,7 +274,7 @@ fn get_u64(doc: &Json, key: &str) -> Result<Option<u64>, WireError> {
     match doc.get(key) {
         None | Some(Json::Null) => Ok(None),
         Some(v) => v.as_u64().map(Some).ok_or_else(|| {
-            WireError::frame(
+            WireError::new(
                 "bad_request",
                 format!("`{key}` must be a non-negative integer"),
             )
@@ -252,7 +286,7 @@ fn get_bool(doc: &Json, key: &str) -> Result<Option<bool>, WireError> {
     match doc.get(key) {
         None | Some(Json::Null) => Ok(None),
         Some(Json::Bool(b)) => Ok(Some(*b)),
-        Some(_) => Err(WireError::frame(
+        Some(_) => Err(WireError::new(
             "bad_request",
             format!("`{key}` must be a boolean"),
         )),
@@ -265,20 +299,20 @@ fn get_str(doc: &Json, key: &str) -> Result<Option<String>, WireError> {
         Some(v) => v
             .as_str()
             .map(|s| Some(s.to_string()))
-            .ok_or_else(|| WireError::frame("bad_request", format!("`{key}` must be a string"))),
+            .ok_or_else(|| WireError::new("bad_request", format!("`{key}` must be a string"))),
     }
 }
 
 /// Parse one JSONL line into a [`Frame`].
 pub fn parse_frame(line: &str) -> Result<Frame, WireError> {
     let doc = Json::parse(line)
-        .map_err(|e| WireError::frame("bad_frame", format!("unparseable frame: {e}")))?;
+        .map_err(|e| WireError::new("bad_frame", format!("unparseable frame: {e}")))?;
     if !matches!(doc, Json::Obj(_)) {
-        return Err(WireError::frame("bad_frame", "frame must be a JSON object"));
+        return Err(WireError::new("bad_frame", "frame must be a JSON object"));
     }
     if let Some(schema) = doc.get("schema") {
         if schema.as_str() != Some(WIRE_SCHEMA) {
-            return Err(WireError::frame(
+            return Err(WireError::new(
                 "bad_frame",
                 format!("unknown schema (expected `{WIRE_SCHEMA}`)"),
             ));
@@ -291,7 +325,7 @@ pub fn parse_frame(line: &str) -> Result<Frame, WireError> {
         e
     };
     let kind = get_str(&doc, "type")?
-        .ok_or_else(|| with_id(WireError::frame("bad_frame", "missing `type`")))?;
+        .ok_or_else(|| with_id(WireError::new("bad_frame", "missing `type`")))?;
     match kind.as_str() {
         "ping" => Ok(Frame::Ping { id }),
         "stats" => Ok(Frame::Stats {
@@ -308,7 +342,7 @@ pub fn parse_frame(line: &str) -> Result<Frame, WireError> {
         "update" => parse_update_frame(&doc, id)
             .map(|req| Frame::Update(Box::new(req)))
             .map_err(with_id),
-        other => Err(with_id(WireError::frame(
+        other => Err(with_id(WireError::new(
             "bad_frame",
             format!("unknown frame type `{other}`"),
         ))),
@@ -316,7 +350,7 @@ pub fn parse_frame(line: &str) -> Result<Frame, WireError> {
 }
 
 fn parse_query_frame(doc: &Json, id: Option<u64>) -> Result<QueryRequest, WireError> {
-    let id = id.ok_or_else(|| WireError::frame("bad_request", "query frames require an `id`"))?;
+    let id = id.ok_or_else(|| WireError::new("bad_request", "query frames require an `id`"))?;
     let (query, session) = parse_header(doc)?;
     let relations = parse_row_map(doc, "relations")?;
     let fault_plan = match doc.get("fault_plan") {
@@ -324,15 +358,22 @@ fn parse_query_frame(doc: &Json, id: Option<u64>) -> Result<QueryRequest, WireEr
         Some(plan) => {
             let text = plan
                 .to_string_compact()
-                .map_err(|e| WireError::frame("bad_request", format!("`fault_plan`: {e}")))?;
+                .map_err(|e| WireError::new("bad_request", format!("`fault_plan`: {e}")))?;
             let mut plan = FaultPlan::from_json(&text)
-                .map_err(|e| WireError::frame("invalid_fault_plan", e.to_string()))?;
+                .map_err(|e| WireError::new("invalid_fault_plan", e.to_string()))?;
             if let Some(seed) = get_u64(doc, "fault_seed")? {
                 plan = plan.with_seed(seed);
             }
             Some(plan)
         }
     };
+    let delay_ms = get_u64(doc, "delay_ms")?.unwrap_or(0);
+    if delay_ms > MAX_DELAY_MS {
+        return Err(WireError::new(
+            "bad_request",
+            format!("`delay_ms` too large ({delay_ms}; limit {MAX_DELAY_MS})"),
+        ));
+    }
     Ok(QueryRequest {
         id,
         session,
@@ -342,7 +383,7 @@ fn parse_query_frame(doc: &Json, id: Option<u64>) -> Result<QueryRequest, WireEr
         plan: get_str(doc, "plan")?.unwrap_or_else(|| "auto".into()),
         relations,
         limit: get_u64(doc, "limit")?.map(|n| n as usize),
-        delay_ms: get_u64(doc, "delay_ms")?.unwrap_or(0),
+        delay_ms,
         deadline_ms: get_u64(doc, "deadline_ms")?,
         fault_plan,
         register: get_bool(doc, "register")?.unwrap_or(false),
@@ -353,9 +394,9 @@ fn parse_query_frame(doc: &Json, id: Option<u64>) -> Result<QueryRequest, WireEr
 /// caps query frames enforce.
 fn parse_header(doc: &Json) -> Result<(String, String), WireError> {
     let query =
-        get_str(doc, "query")?.ok_or_else(|| WireError::frame("bad_request", "missing `query`"))?;
+        get_str(doc, "query")?.ok_or_else(|| WireError::new("bad_request", "missing `query`"))?;
     if query.len() > MAX_QUERY_BYTES {
-        return Err(WireError::frame(
+        return Err(WireError::new(
             "bad_request",
             format!(
                 "`query` too long ({} bytes; limit {MAX_QUERY_BYTES})",
@@ -365,7 +406,7 @@ fn parse_header(doc: &Json) -> Result<(String, String), WireError> {
     }
     let session = get_str(doc, "session")?.unwrap_or_default();
     if session.len() > MAX_SESSION_BYTES {
-        return Err(WireError::frame(
+        return Err(WireError::new(
             "bad_request",
             format!(
                 "`session` too long ({} bytes; limit {MAX_SESSION_BYTES})",
@@ -377,12 +418,12 @@ fn parse_header(doc: &Json) -> Result<(String, String), WireError> {
 }
 
 fn parse_update_frame(doc: &Json, id: Option<u64>) -> Result<UpdateRequest, WireError> {
-    let id = id.ok_or_else(|| WireError::frame("bad_request", "update frames require an `id`"))?;
+    let id = id.ok_or_else(|| WireError::new("bad_request", "update frames require an `id`"))?;
     let (query, session) = parse_header(doc)?;
     let inserts = parse_row_map(doc, "inserts")?;
     let deletes = parse_row_map(doc, "deletes")?;
     if inserts.is_empty() && deletes.is_empty() {
-        return Err(WireError::frame(
+        return Err(WireError::new(
             "bad_request",
             "update frames need at least one of `inserts` / `deletes`",
         ));
@@ -410,14 +451,14 @@ fn parse_row_map(doc: &Json, key: &str) -> Result<Vec<(String, Vec<Vec<i64>>)>, 
             .map(|(name, rows)| Ok((name.clone(), parse_rows(name, rows)?)))
             .collect::<Result<_, WireError>>()?,
         Some(_) => {
-            return Err(WireError::frame(
+            return Err(WireError::new(
                 "bad_request",
                 format!("`{key}` must be an object of name -> row arrays"),
             ))
         }
     };
     if rels.len() > MAX_RELATIONS {
-        return Err(WireError::frame(
+        return Err(WireError::new(
             "bad_request",
             format!(
                 "`{key}`: too many relations ({}; limit {MAX_RELATIONS})",
@@ -430,18 +471,18 @@ fn parse_row_map(doc: &Json, key: &str) -> Result<Vec<(String, Vec<Vec<i64>>)>, 
 
 fn parse_rows(name: &str, rows: &Json) -> Result<Vec<Vec<i64>>, WireError> {
     let rows = rows.as_arr().ok_or_else(|| {
-        WireError::frame("bad_request", format!("relation `{name}` must be an array"))
+        WireError::new("bad_request", format!("relation `{name}` must be an array"))
     })?;
     rows.iter()
         .map(|row| {
             let row = row.as_arr().ok_or_else(|| {
-                WireError::frame(
+                WireError::new(
                     "bad_request",
                     format!("relation `{name}`: each row must be an array"),
                 )
             })?;
             if row.len() > MAX_ROW_WIDTH {
-                return Err(WireError::frame(
+                return Err(WireError::new(
                     "bad_request",
                     format!(
                         "relation `{name}`: row too wide ({}; limit {MAX_ROW_WIDTH})",
@@ -455,7 +496,7 @@ fn parse_rows(name: &str, rows: &Json) -> Result<Vec<Vec<i64>>, WireError> {
                         .filter(|f| f.fract() == 0.0 && f.abs() <= i64::MAX as f64)
                         .map(|f| f as i64)
                         .ok_or_else(|| {
-                            WireError::frame(
+                            WireError::new(
                                 "bad_request",
                                 format!("relation `{name}`: row values must be integers"),
                             )
@@ -501,11 +542,11 @@ impl LineOutcome {
     /// `NonUtf8`); `None` for the other variants.
     pub fn to_wire_error(&self) -> Option<WireError> {
         match self {
-            LineOutcome::Oversized { limit } => Some(WireError::frame(
+            LineOutcome::Oversized { limit } => Some(WireError::new(
                 "bad_frame",
                 format!("frame exceeds {limit} bytes"),
             )),
-            LineOutcome::NonUtf8 { offset } => Some(WireError::frame(
+            LineOutcome::NonUtf8 { offset } => Some(WireError::new(
                 "bad_frame",
                 format!("invalid UTF-8 at byte {offset}"),
             )),
@@ -626,11 +667,6 @@ pub fn error_frame(
         escape_str(code),
         escape_str(detail),
     )
-}
-
-/// The error frame for an engine failure (reuses [`MpcError::code`]).
-pub fn mpc_error_frame(id: u64, e: &MpcError) -> String {
-    error_frame(Some(id), e.code(), &e.to_string(), None)
 }
 
 /// A `pong` frame.
@@ -1034,6 +1070,55 @@ mod tests {
         let err = parse_frame(&wide_row).unwrap_err();
         assert_eq!(err.code, "bad_request");
         assert!(err.detail.contains("too wide"), "{}", err.detail);
+
+        // One frame must not be able to park a worker forever.
+        for (delay, ok) in [
+            (MAX_DELAY_MS, true),
+            (MAX_DELAY_MS + 1, false),
+            (u64::MAX, false),
+        ] {
+            let line = format!(
+                "{{\"type\":\"query\",\"id\":1,\"query\":\"Q(a) :- R(a)\",\"delay_ms\":{delay}}}"
+            );
+            match parse_frame(&line) {
+                Ok(_) => assert!(ok, "delay_ms {delay} must be rejected"),
+                Err(err) => {
+                    assert!(!ok, "delay_ms {delay} is within the cap");
+                    assert_eq!(err.code, "bad_request");
+                    assert_eq!(err.id, Some(1));
+                    assert!(err.detail.contains("delay_ms"), "{}", err.detail);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sessions_default_once_for_every_session_scoped_frame() {
+        let session_of = |frame: &Frame| match frame {
+            Frame::Query(req) | Frame::Explain(req) => req.session.clone(),
+            Frame::Update(req) => req.session.clone(),
+            other => panic!("no session on {other:?}"),
+        };
+        for kind in ["query", "explain", "update"] {
+            let tail = "\"id\":1,\"query\":\"Q(a) :- R(a)\",\"inserts\":{\"R\":[[1]]}";
+            let mut anonymous = parse_frame(&format!("{{\"type\":\"{kind}\",{tail}}}")).unwrap();
+            anonymous.default_session("conn-7");
+            assert_eq!(
+                session_of(&anonymous),
+                "conn-7",
+                "{kind}: empty session defaults"
+            );
+            let mut named = parse_frame(&format!(
+                "{{\"type\":\"{kind}\",\"session\":\"t1\",{tail}}}"
+            ))
+            .unwrap();
+            named.default_session("conn-7");
+            assert_eq!(session_of(&named), "t1", "{kind}: client session wins");
+        }
+        // Frames without a session are left alone.
+        let mut ping = parse_frame("{\"type\":\"ping\",\"id\":4}").unwrap();
+        ping.default_session("conn-7");
+        assert!(matches!(ping, Frame::Ping { id: Some(4) }));
     }
 
     #[test]

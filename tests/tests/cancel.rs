@@ -8,7 +8,9 @@
 //!
 //! * **Rerun bit-identity.** For every plan kind, under `Count` and
 //!   `TropicalMin` and across thread counts, cancelling at *each
-//!   feasible round boundary* and then rerunning the request produces
+//!   feasible round boundary* (tier-1 samples them; the exhaustive
+//!   sweeps are `#[ignore]`d and run by CI in a release build) and then
+//!   rerunning the request produces
 //!   output rows, cost ledger, plan, and placement skew bit-identical
 //!   to a run that was never interrupted. (Each run builds a fresh
 //!   cluster, so cancellation cannot plant state — pinned here so a
@@ -122,13 +124,26 @@ fn assert_identical<S: Semiring + std::fmt::Debug>(
     );
 }
 
-/// Cancel `kind` at every feasible round boundary under `threads`
-/// engine threads, rerunning after each cancellation.
+/// Which round boundaries a sweep cancels at.
+#[derive(Clone, Copy)]
+enum Boundaries {
+    /// Every one (the `#[ignore]`d exhaustive sweeps; CI runs them in a
+    /// release build).
+    All,
+    /// The first 8 (scatter + statistics, where the plans differ most),
+    /// every 16th after that, and the last: tier-1's fixed sample of
+    /// plans that run up to ~1 900 rounds.
+    Sampled,
+}
+
+/// Cancel `kind` at the selected feasible round boundaries under
+/// `threads` engine threads, rerunning after each cancellation.
 fn sweep_plan<S: Semiring + std::fmt::Debug>(
     kind: PlanKind,
     q: &TreeQuery,
     rels: &[Relation<S>],
     threads: usize,
+    boundaries: Boundaries,
 ) {
     let engine = || {
         QueryEngine::new(8)
@@ -138,7 +153,16 @@ fn sweep_plan<S: Semiring + std::fmt::Debug>(
     let baseline = engine().run(q, rels).expect("uninterrupted run");
     let rounds = baseline.cost.rounds;
     assert!(rounds > 0, "{kind:?}: a distributed run has rounds");
-    for at in 0..rounds {
+    let mut selected: Vec<u64> = match boundaries {
+        Boundaries::All => (0..rounds).collect(),
+        Boundaries::Sampled => (0..rounds.min(8))
+            .chain((0..rounds).step_by(16))
+            .chain([rounds - 1])
+            .collect(),
+    };
+    selected.sort_unstable();
+    selected.dedup();
+    for at in selected {
         // Subcluster phases share the parent's round timeline, so
         // boundary rounds need not be dense: the token fires at the
         // first boundary at-or-past `at`, and *which* boundary that is
@@ -171,20 +195,40 @@ fn sweep_plan<S: Semiring + std::fmt::Debug>(
     }
 }
 
-#[test]
-fn every_plan_cancels_and_reruns_bit_identically_under_count() {
+fn sweep_under_count(boundaries: Boundaries) {
     for (kind, q, rels) in workloads::<Count>() {
-        sweep_plan(kind, &q, &rels, 1);
+        sweep_plan(kind, &q, &rels, 1, boundaries);
+    }
+}
+
+fn sweep_under_tropical_min(boundaries: Boundaries) {
+    // The other semiring sweeps under a parallel engine, so between the
+    // two tests both semirings and both thread regimes are covered.
+    for (kind, q, rels) in workloads::<TropicalMin>() {
+        sweep_plan(kind, &q, &rels, 3, boundaries);
     }
 }
 
 #[test]
+fn every_plan_cancels_and_reruns_bit_identically_under_count() {
+    sweep_under_count(Boundaries::Sampled);
+}
+
+#[test]
 fn every_plan_cancels_and_reruns_bit_identically_under_tropical_min() {
-    // The other semiring sweeps under a parallel engine, so between the
-    // two tests both semirings and both thread regimes are covered.
-    for (kind, q, rels) in workloads::<TropicalMin>() {
-        sweep_plan(kind, &q, &rels, 3);
-    }
+    sweep_under_tropical_min(Boundaries::Sampled);
+}
+
+#[test]
+#[ignore = "exhaustive: every boundary of every plan; CI runs it in release"]
+fn every_plan_cancels_at_every_boundary_under_count() {
+    sweep_under_count(Boundaries::All);
+}
+
+#[test]
+#[ignore = "exhaustive: every boundary of every plan; CI runs it in release"]
+fn every_plan_cancels_at_every_boundary_under_tropical_min() {
+    sweep_under_tropical_min(Boundaries::All);
 }
 
 #[test]

@@ -509,3 +509,94 @@ fn observability_plane_is_invisible_to_results_and_ledger() {
     assert_eq!(summary.completes_cached, 1);
     std::fs::remove_file(&log_path).ok();
 }
+
+/// Run one frame line through an executor the way the connection loop
+/// does (queries, explains and updates each reach their entry point).
+fn answer(ex: &Executor, line: &str) -> ResponseView {
+    let ctx = RequestCtx::default();
+    let frame = match parse_frame(line).expect("frame parses") {
+        Frame::Query(req) => ex.execute(&req, &ctx),
+        Frame::Explain(req) => ex.explain(&req, &ctx),
+        Frame::Update(req) => ex.update(&req, &ctx),
+        other => panic!("not an executor frame: {other:?}"),
+    };
+    ResponseView::parse(&frame).expect("parseable response")
+}
+
+/// Reports which semiring type a wire name dispatched to.
+struct TypeName;
+
+impl mpcjoin::SemiringVisitor for TypeName {
+    type Out = &'static str;
+
+    fn visit<S: Semiring>(self, _weight: fn(Option<i64>) -> S) -> Self::Out {
+        std::any::type_name::<S>()
+    }
+}
+
+/// The table is the vocabulary: every name `mpcjoin::SEMIRING_NAMES`
+/// lists (the loop iterates the table, not a hand-written list) drives
+/// register → insert-only update → re-query through an executor, and the
+/// re-query is a cached hit byte-identical to the update's body and to a
+/// fresh executor's cold run. A name outside the table is the same
+/// `bad_request` on every frame kind.
+#[test]
+fn every_wire_semiring_updates_and_requeries_byte_identically() {
+    let frame = |kind: &str, id: u64, semiring: &str, members: &str| {
+        format!(
+            "{{\"type\":\"{kind}\",\"id\":{id},\"session\":\"t\",\"semiring\":\"{semiring}\",\
+             \"query\":\"Q(a, c) :- R(a, b), S(b, c)\",\"servers\":4,{members}}}"
+        )
+    };
+    const BASE: &str = "\"relations\":{\"R\":[[1,10,5],[1,11,2],[2,10,3]],\
+                        \"S\":[[10,7,1],[11,7,9]]}";
+    const INSERTS: &str = "\"inserts\":{\"R\":[[9,10,4]],\"S\":[[10,8,2]]}";
+    const UPDATED: &str = "\"relations\":{\"R\":[[1,10,5],[1,11,2],[2,10,3],[9,10,4]],\
+                           \"S\":[[10,7,1],[11,7,9],[10,8,2]]}";
+    let executor = || Executor::new(64, 1, 8, None, Arc::new(Obs::new()));
+
+    let mut dispatched = std::collections::HashSet::new();
+    for name in mpcjoin::SEMIRING_NAMES {
+        let ty = mpcjoin::with_semiring(name, TypeName).expect("table names dispatch");
+        assert!(
+            dispatched.insert(ty),
+            "`{name}` shares `{ty}` with another name"
+        );
+
+        let ex = executor();
+        let registered = answer(
+            &ex,
+            &frame("query", 1, name, &format!("\"register\":true,{BASE}")),
+        );
+        assert_eq!(registered.kind, "result", "{name}: {:?}", registered.detail);
+        assert!(!registered.cached);
+
+        let updated = answer(&ex, &frame("update", 2, name, INSERTS));
+        assert_eq!(updated.kind, "update", "{name}: {:?}", updated.detail);
+        assert_ne!(
+            updated.result, registered.result,
+            "{name}: the inserts matter"
+        );
+
+        let requery = frame("query", 3, name, UPDATED);
+        let hit = answer(&ex, &requery);
+        assert!(hit.cached, "{name}: the update revalidated the cache");
+        assert_eq!(hit.result, updated.result, "{name}: hit == update body");
+        let cold = answer(&executor(), &requery);
+        assert!(!cold.cached);
+        assert_eq!(hit.result, cold.result, "{name}: hit == fresh cold run");
+    }
+
+    let expected = mpcjoin::with_semiring("tropical", TypeName).expect_err("not in the table");
+    for name in mpcjoin::SEMIRING_NAMES {
+        assert!(expected.contains(name), "{expected} lists `{name}`");
+    }
+    let ex = executor();
+    for (kind, members) in [("query", BASE), ("explain", BASE), ("update", INSERTS)] {
+        let view = answer(&ex, &frame(kind, 9, "tropical", members));
+        assert_eq!(view.kind, "error", "{kind}");
+        assert_eq!(view.code.as_deref(), Some("bad_request"), "{kind}");
+        assert_eq!(view.id, Some(9), "{kind}");
+        assert_eq!(view.detail.as_deref(), Some(expected.as_str()), "{kind}");
+    }
+}
