@@ -4,10 +4,10 @@
 //! loop (no external harness); run with
 //! `cargo bench --bench primitives [-- --threads N]`.
 //!
-//! Besides the printed timings, writes the machine-readable
-//! `BENCH_microbench.json` artifact (schema `mpcjoin-bench-v1`): per
-//! primitive and input size, the measured MPC load next to its `O(N/p)`-
-//! style bound and the best wall-clock at the configured thread count.
+//! The timings are printed only; the machine-readable
+//! `BENCH_microbench.json` artifact (schema `mpcjoin-bench-v1`) is a
+//! ledger like every other: per primitive and input size, the measured
+//! MPC load next to its `O(N/p)`-style bound.
 
 use mpcjoin::mpc::primitives::reduce::reduce_by_key;
 use mpcjoin::mpc::primitives::scan::parallel_packing;
@@ -15,9 +15,27 @@ use mpcjoin::mpc::primitives::search::multi_search;
 use mpcjoin::mpc::primitives::sort::sort_by_key;
 use mpcjoin::mpc::{join::full_join, Cluster, DistRelation};
 use mpcjoin::prelude::*;
-use mpcjoin_bench::{bench_case, emit_json, BenchArtifact, BenchRecord};
+use mpcjoin_bench::{emit_json, BenchArtifact, BenchRecord};
 
 const P: usize = 16;
+
+/// Minimal timing loop: run `f` once to warm up, then `iters` timed
+/// repetitions, and print the best and mean wall-clock per iteration.
+/// The closure's return value is consumed so the computation cannot be
+/// optimized away.
+fn bench_case<R>(name: &str, iters: u32, mut f: impl FnMut() -> R) {
+    std::hint::black_box(f());
+    let mut samples = Vec::with_capacity(iters as usize);
+    for _ in 0..iters {
+        let start = std::time::Instant::now();
+        let out = f();
+        samples.push(start.elapsed());
+        std::hint::black_box(&out);
+    }
+    let best = samples.iter().min().copied().unwrap_or_default();
+    let mean = samples.iter().sum::<std::time::Duration>() / iters.max(1);
+    println!("{name:<48} best {best:>10.3?}   mean {mean:>10.3?}   ({iters} iters)");
+}
 
 /// Build one artifact row from a primitive's measured (load, out) and
 /// its linear-per-server bound, mirroring the engine auditor's
@@ -29,7 +47,6 @@ fn record(
     out: u64,
     load: u64,
     bound: f64,
-    wall: std::time::Duration,
 ) -> BenchRecord {
     BenchRecord {
         experiment: experiment.to_string(),
@@ -47,7 +64,6 @@ fn record(
         },
         within: (load as f64) <= 4.0 * bound + P as f64,
         threads: mpcjoin::mpc::exec::default_threads() as u64,
-        wall_ns: wall.as_nanos() as u64,
     }
 }
 
@@ -61,7 +77,7 @@ fn bench_sort(records: &mut Vec<BenchRecord>) {
             (out, cluster.report().load)
         };
         let (out, load) = run();
-        let wall = bench_case(&format!("primitive_sort/{n}"), 10, || run().1);
+        bench_case(&format!("primitive_sort/{n}"), 10, || run().1);
         records.push(record(
             "primitive_sort",
             format!("n={n}"),
@@ -69,7 +85,6 @@ fn bench_sort(records: &mut Vec<BenchRecord>) {
             out as u64,
             load,
             n as f64 / P as f64,
-            wall,
         ));
     }
 }
@@ -84,7 +99,7 @@ fn bench_reduce(records: &mut Vec<BenchRecord>) {
             (out, cluster.report().load)
         };
         let (out, load) = run();
-        let wall = bench_case(&format!("primitive_reduce_by_key/{n}"), 10, || run().1);
+        bench_case(&format!("primitive_reduce_by_key/{n}"), 10, || run().1);
         records.push(record(
             "primitive_reduce_by_key",
             format!("n={n}"),
@@ -92,7 +107,6 @@ fn bench_reduce(records: &mut Vec<BenchRecord>) {
             out as u64,
             load,
             n as f64 / P as f64,
-            wall,
         ));
     }
 }
@@ -108,7 +122,7 @@ fn bench_multi_search(records: &mut Vec<BenchRecord>) {
             (out, cluster.report().load)
         };
         let (out, load) = run();
-        let wall = bench_case(&format!("primitive_multi_search/{n}"), 10, || run().1);
+        bench_case(&format!("primitive_multi_search/{n}"), 10, || run().1);
         // Catalog N/2 entries plus N queries move through the cluster.
         records.push(record(
             "primitive_multi_search",
@@ -117,7 +131,6 @@ fn bench_multi_search(records: &mut Vec<BenchRecord>) {
             out as u64,
             load,
             (n + n / 2) as f64 / P as f64,
-            wall,
         ));
     }
 }
@@ -132,7 +145,7 @@ fn bench_packing(records: &mut Vec<BenchRecord>) {
             (out, cluster.report().load)
         };
         let (out, load) = run();
-        let wall = bench_case(&format!("primitive_parallel_packing/{n}"), 10, || run().1);
+        bench_case(&format!("primitive_parallel_packing/{n}"), 10, || run().1);
         records.push(record(
             "primitive_parallel_packing",
             format!("n={n}"),
@@ -140,7 +153,6 @@ fn bench_packing(records: &mut Vec<BenchRecord>) {
             out,
             load,
             n as f64 / P as f64,
-            wall,
         ));
     }
 }
@@ -164,7 +176,7 @@ fn bench_two_way_join(records: &mut Vec<BenchRecord>) {
             (out, cluster.report().load)
         };
         let (out, load) = run();
-        let wall = bench_case(&format!("primitive_two_way_join/{skew}"), 10, || run().1);
+        bench_case(&format!("primitive_two_way_join/{skew}"), 10, || run().1);
         // The skew-optimal join moves O((N1 + N2 + OUT)/p).
         records.push(record(
             "primitive_two_way_join",
@@ -173,7 +185,6 @@ fn bench_two_way_join(records: &mut Vec<BenchRecord>) {
             out as u64,
             load,
             (2 * n + out as u64) as f64 / P as f64,
-            wall,
         ));
     }
 }
@@ -187,5 +198,5 @@ fn main() {
     bench_multi_search(&mut records);
     bench_packing(&mut records);
     bench_two_way_join(&mut records);
-    emit_json(&BenchArtifact::new(records), "BENCH_microbench.json");
+    emit_json(&BenchArtifact { records }, "BENCH_microbench.json");
 }

@@ -1,5 +1,5 @@
-//! `delta_bench` — regenerate the incremental-evaluation bench artifact
-//! (`mpcjoin-bench-delta-v1`, diffed by `bench_check` against
+//! `delta_bench` — regenerate the incremental-evaluation ledger
+//! (`mpcjoin-bench-delta-v1`, diffed by `mpcjoin-check bench` against
 //! `results/BENCH_baseline_delta.json`).
 //!
 //! ```text
@@ -20,9 +20,8 @@ use mpcjoin::prelude::*;
 use mpcjoin::query::{Edge, TreeQuery};
 use mpcjoin::semiring::SumInt;
 use mpcjoin::{workload, DeltaBatch, MaterializedView};
-use mpcjoin_bench::delta::{DeltaBenchArtifact, DeltaBenchRecord};
+use mpcjoin_bench::{Artifact, DeltaBenchArtifact, DeltaBenchRecord};
 use std::process::ExitCode;
-use std::time::Instant;
 
 struct Config {
     servers: usize,
@@ -134,7 +133,6 @@ fn run() -> Result<String, String> {
     let cfg = parse_config()?;
     mpcjoin_bench::init_threads();
     let engine = QueryEngine::new(cfg.servers);
-    let started = Instant::now();
     let mut records = Vec::new();
 
     // mm: R0(A,B), R1(B,C) under the §3 plan, domains as in loadgen.
@@ -268,7 +266,6 @@ fn run() -> Result<String, String> {
         seed: cfg.seed,
         servers: cfg.servers as u64,
         records,
-        wall_ns: started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
     };
     for r in &artifact.records {
         println!(

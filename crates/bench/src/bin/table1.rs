@@ -6,8 +6,8 @@
 //! Run with: `cargo run -p mpcjoin-bench --release --bin table1 [scale]`
 //! (`scale` defaults to 1; larger values grow the instances). Besides the
 //! printed tables (and CSVs under `MPCJOIN_CSV_DIR`), writes the
-//! machine-readable `BENCH_table1.json` artifact consumed by
-//! `bench_check`.
+//! machine-readable `BENCH_table1.json` ledger that `mpcjoin-check bench`
+//! diffs against `results/BENCH_baseline_table1.json`.
 
 use mpcjoin_bench::experiments;
 use mpcjoin_bench::{emit, emit_json, emit_trace, BenchArtifact};
@@ -38,7 +38,7 @@ fn main() {
     emit_trace(&experiments::table1_line_trace(16, scale), "table1_line");
 
     let violations = records.iter().filter(|r| !r.within).count();
-    emit_json(&BenchArtifact::new(records), "BENCH_table1.json");
+    emit_json(&BenchArtifact { records }, "BENCH_table1.json");
     if violations > 0 {
         println!("WARNING: {violations} rows exceed slack·bound + p (see the audit column)");
     }

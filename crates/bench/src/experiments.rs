@@ -2,7 +2,7 @@
 //!
 //! The Table-1 experiments return both a printable [`Table`] and the
 //! machine-readable [`BenchRecord`]s behind its rows, so the harness can
-//! write `BENCH_table1.json` for the `bench_check` regression differ.
+//! write `BENCH_table1.json` for the `mpcjoin-check bench` regression differ.
 
 use crate::artifact::BenchRecord;
 use crate::table::{Cell, Table};

@@ -2,7 +2,7 @@
 //!
 //! The workspace deliberately has zero third-party crates (DESIGN.md §5),
 //! so trace export ([`crate::trace`]), the trace round-trip tests, and the
-//! `trace-check` CI tool share this hand-rolled implementation instead of
+//! `mpcjoin-check` CI tool share this hand-rolled implementation instead of
 //! serde. It supports exactly the JSON the simulator emits: objects,
 //! arrays, strings (with `\uXXXX` escapes), integers/floats, booleans and
 //! `null` — and is strict enough to reject truncated or malformed
@@ -84,6 +84,64 @@ impl Json {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
+        }
+    }
+
+    /// The value as a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// Member `key` read through `pick`; the error names the key and
+    /// the type (`what`) the reader wanted. Every document checker in
+    /// the workspace reads required members through the `field_*`
+    /// accessors below, so "missing or mistyped" is worded once.
+    fn field<'a, T>(
+        &'a self,
+        key: &str,
+        what: &str,
+        pick: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        self.get(key)
+            .and_then(pick)
+            .ok_or_else(|| format!("missing {what} `{key}`"))
+    }
+
+    /// Required non-negative integer member `key`.
+    pub fn field_u64(&self, key: &str) -> Result<u64, String> {
+        self.field(key, "integer", Json::as_u64)
+    }
+
+    /// Required number member `key`.
+    pub fn field_f64(&self, key: &str) -> Result<f64, String> {
+        self.field(key, "number", Json::as_f64)
+    }
+
+    /// Required string member `key`.
+    pub fn field_str(&self, key: &str) -> Result<&str, String> {
+        self.field(key, "string", Json::as_str)
+    }
+
+    /// Required boolean member `key`.
+    pub fn field_bool(&self, key: &str) -> Result<bool, String> {
+        self.field(key, "boolean", Json::as_bool)
+    }
+
+    /// Required array member `key`.
+    pub fn field_arr(&self, key: &str) -> Result<&[Json], String> {
+        self.field(key, "array", Json::as_arr)
+    }
+
+    /// Require the document's `schema` member to be exactly `tag`.
+    pub fn expect_schema(&self, tag: &str) -> Result<(), String> {
+        match self.field_str("schema")? {
+            found if found == tag => Ok(()),
+            other => Err(format!(
+                "unsupported schema `{other}` (only `{tag}` is accepted)"
+            )),
         }
     }
 
@@ -488,6 +546,29 @@ mod tests {
         assert_eq!(
             back.get("nested").and_then(Json::as_arr),
             Some(&[Json::Null][..])
+        );
+    }
+
+    #[test]
+    fn field_accessors_name_the_key_and_the_wanted_type() {
+        let v = Json::parse(r#"{"schema":"s-v1","n":3,"x":2.5,"s":"a","b":true,"a":[1]}"#).unwrap();
+        assert_eq!(v.field_u64("n"), Ok(3));
+        assert_eq!(v.field_f64("x"), Ok(2.5));
+        assert_eq!(v.field_str("s"), Ok("a"));
+        assert_eq!(v.field_bool("b"), Ok(true));
+        assert_eq!(v.field_arr("a").map(<[Json]>::len), Ok(1));
+        assert_eq!(v.field_u64("x").unwrap_err(), "missing integer `x`");
+        assert_eq!(v.field_str("nope").unwrap_err(), "missing string `nope`");
+        assert_eq!(
+            Json::Null.field_bool("b").unwrap_err(),
+            "missing boolean `b`"
+        );
+        assert!(v.expect_schema("s-v1").is_ok());
+        let err = v.expect_schema("s-v2").unwrap_err();
+        assert!(err.contains("unsupported schema `s-v1`"), "{err}");
+        assert_eq!(
+            Json::Obj(vec![]).expect_schema("s-v1").unwrap_err(),
+            "missing string `schema`"
         );
     }
 

@@ -401,8 +401,8 @@ impl Trace {
     /// Schema history: `mpcjoin-trace-v1` lacked the `audit` member;
     /// `mpcjoin-trace-v2` added it (possibly `null`); `mpcjoin-trace-v3`
     /// adds the per-event `recovery` array and the `recovery_report`
-    /// member (possibly `null`). Readers should accept all three (the
-    /// `trace_check` tool does).
+    /// member (possibly `null`). No producer has written the older tags
+    /// since the fault plane landed, and [`validate`] refuses them.
     pub fn to_json_with(&self, audit: Option<&Json>, recovery: Option<&RecoveryReport>) -> String {
         self.to_json_tagged(audit, recovery, None)
     }
@@ -413,7 +413,7 @@ impl Trace {
     /// operational log (`mpcjoin-log-v1`) that produced it — the span's
     /// `engine_ns` wall-clock envelopes exactly these round events.
     /// `request` is `null` for library/CLI callers; readers (including
-    /// `trace_check`) ignore it.
+    /// [`validate`]) ignore it.
     pub fn to_json_tagged(
         &self,
         audit: Option<&Json>,
@@ -492,7 +492,7 @@ impl Trace {
             None => Json::Null,
         };
         let doc = Json::Obj(vec![
-            ("schema".into(), Json::Str("mpcjoin-trace-v3".into())),
+            ("schema".into(), Json::Str(TRACE_SCHEMA.into())),
             ("request".into(), request.cloned().unwrap_or(Json::Null)),
             ("audit".into(), audit.cloned().unwrap_or(Json::Null)),
             (
@@ -548,6 +548,250 @@ impl Trace {
         // numbers become `null`) instead of panicking on a bad guest.
         doc.to_string_sanitized()
     }
+}
+
+/// Schema tag of exported trace documents — the only one any producer
+/// has written since the fault plane landed, and the only one
+/// [`validate`] accepts.
+pub const TRACE_SCHEMA: &str = "mpcjoin-trace-v3";
+
+/// Re-derive an exported trace document ([`Trace::to_json_tagged`])
+/// from its raw events and check it tells one story: the library half
+/// of `mpcjoin-check trace`, kept beside the exporter so the two cannot
+/// drift.
+///
+/// Checks, in order: the document parses and carries [`TRACE_SCHEMA`]
+/// (older tags are refused as unsupported); every event's traffic
+/// matrix is `servers × servers` and re-sums to its received vector;
+/// the events account for exactly `total_units` of traffic; the maximum
+/// (server, round) cell equals `load`; and the embedded report
+/// (per-server histogram, critical cell) agrees with the recomputation.
+/// A non-null `audit` member must audit this very trace
+/// (`audit.measured == load`) with a `within` flag consistent with
+/// `measured ≤ slack·bound + additive`. The fault plane's story must
+/// agree with itself too: every `recovery` event is well-formed, of a
+/// known kind and in round range, and the `recovery_report` counters
+/// match those events (retransmissions vs `retries`, crash replays vs
+/// `servers_lost`, `recovered` vs `unrecoverable`). Returns a one-line
+/// summary.
+pub fn validate(text: &str) -> Result<String, String> {
+    fn u64s(arr: &[Json], what: &str) -> Result<Vec<u64>, String> {
+        arr.iter()
+            .map(|v| v.as_u64().ok_or_else(|| format!("bad {what}")))
+            .collect()
+    }
+    let doc = Json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
+    doc.expect_schema(TRACE_SCHEMA)?;
+    let servers = doc.field_u64("servers")?;
+    if servers == 0 {
+        return Err("servers must be positive".into());
+    }
+    let load = doc.field_u64("load")?;
+    let rounds = doc.field_u64("rounds")?;
+    let total_units = doc.field_u64("total_units")?;
+
+    // The report's histogram is read first: its length is bounded by
+    // the document, so it (not the bare `servers` number) sizes the
+    // recomputed one.
+    let report = doc.get("report").ok_or("missing `report`")?;
+    let reported = u64s(report.field_arr("per_server")?, "per_server entry")?;
+    if reported.len() as u64 != servers {
+        return Err(format!(
+            "report.per_server has {} entries for {servers} servers",
+            reported.len()
+        ));
+    }
+    let servers = reported.len();
+
+    let events = doc.field_arr("events")?;
+    let mut unit_sum = 0u64;
+    let mut cells: HashMap<(usize, u64), u64> = HashMap::new();
+    let mut per_server = vec![0u64; servers];
+    for (i, event) in events.iter().enumerate() {
+        let at = |e: String| format!("event {i}: {e}");
+        let round = event.field_u64("round").map_err(at)?;
+        if round >= rounds {
+            return Err(at(format!(
+                "round {round} out of range (rounds = {rounds})"
+            )));
+        }
+        let received = event.field_arr("received").map_err(at)?;
+        let received = u64s(received, "unit count").map_err(at)?;
+        if received.len() != servers {
+            return Err(at(format!(
+                "received vector has {} entries for {servers} servers",
+                received.len()
+            )));
+        }
+        let traffic = event
+            .field_arr("traffic")
+            .map_err(at)?
+            .iter()
+            .map(|row| {
+                u64s(
+                    row.as_arr().ok_or("traffic row is not an array")?,
+                    "traffic cell",
+                )
+            })
+            .collect::<Result<Vec<_>, String>>()
+            .map_err(at)?;
+        if traffic.len() != servers || traffic.iter().any(|row| row.len() != servers) {
+            return Err(at(format!("traffic matrix is not {servers}×{servers}")));
+        }
+        for (dst, &got) in received.iter().enumerate() {
+            let col_sum = traffic
+                .iter()
+                .fold(0u64, |sum, row| sum.saturating_add(row[dst]));
+            if col_sum != got {
+                return Err(at(format!(
+                    "traffic column {dst} sums to {col_sum}, received says {got}"
+                )));
+            }
+            let cell = cells.entry((dst, round)).or_default();
+            *cell = cell.saturating_add(got);
+            per_server[dst] = per_server[dst].saturating_add(got);
+            unit_sum = unit_sum.saturating_add(got);
+        }
+    }
+    if unit_sum != total_units {
+        return Err(format!(
+            "events account for {unit_sum} units, header says {total_units}"
+        ));
+    }
+    let max_cell = cells.values().copied().max().unwrap_or(0);
+    if max_cell != load {
+        return Err(format!(
+            "max (server, round) cell is {max_cell}, header says load = {load}"
+        ));
+    }
+    if reported != per_server {
+        return Err("report.per_server disagrees with the events".into());
+    }
+    match report.get("critical") {
+        Some(Json::Null) | None => {
+            if load > 0 {
+                return Err("load is positive but report.critical is null".into());
+            }
+        }
+        Some(critical) => {
+            let units = critical.field_u64("units")?;
+            if units != load {
+                return Err(format!("report.critical.units = {units} but load = {load}"));
+            }
+            let cell = (
+                critical.field_u64("server")? as usize,
+                critical.field_u64("round")?,
+            );
+            if cells.get(&cell).copied().unwrap_or(0) != load {
+                return Err("report.critical does not point at a maximal cell".into());
+            }
+        }
+    }
+
+    // The embedded bound-audit verdict, when present, must audit this
+    // very trace and be internally consistent.
+    let mut audit_note = String::new();
+    match doc.get("audit") {
+        None => return Err("document missing `audit`".into()),
+        Some(Json::Null) => {}
+        Some(audit) => {
+            let in_audit = |e: String| format!("audit: {e}");
+            let measured = audit.field_u64("measured").map_err(in_audit)?;
+            if measured != load {
+                return Err(format!(
+                    "audit.measured = {measured} but the trace's load is {load}"
+                ));
+            }
+            let bound = audit.field_f64("bound").map_err(in_audit)?;
+            let slack = audit.field_f64("slack").map_err(in_audit)?;
+            let additive = audit.field_f64("additive").map_err(in_audit)?;
+            let within = audit.field_bool("within").map_err(in_audit)?;
+            if within != (measured as f64 <= slack * bound + additive) {
+                return Err(format!(
+                    "audit.within = {within} contradicts {measured} vs {slack}·{bound} + {additive}"
+                ));
+            }
+            audit_note = format!(", audit {}", if within { "ok" } else { "VIOLATION" });
+        }
+    }
+
+    // The fault plane's recovery story: the event list and the embedded
+    // report must tell the same one.
+    let mut recovery_note = String::new();
+    let recovery = doc.field_arr("recovery")?;
+    let (mut retransmits, mut crash_replays) = (0u64, 0u64);
+    for (i, event) in recovery.iter().enumerate() {
+        let at = |e: String| format!("recovery event {i}: {e}");
+        match event.field_str("kind").map_err(at)? {
+            "retransmit" => retransmits += 1,
+            "crash_replay" => crash_replays += 1,
+            "dedup" | "resequence" | "straggler" | "compute_retry" | "unrecoverable" => {}
+            other => return Err(at(format!("unknown kind `{other}`"))),
+        }
+        // Recovery fires at round *boundaries*: a compute retry can
+        // sit at the boundary after the last credited round, so the
+        // legal range is one wider than the events' strict `< rounds`.
+        let round = event.field_u64("round").map_err(at)?;
+        if round > rounds {
+            return Err(at(format!(
+                "round {round} out of range (rounds = {rounds})"
+            )));
+        }
+        for k in ["attempt", "units", "delay_ns"] {
+            event.field_u64(k).map_err(at)?;
+        }
+        for k in ["phase", "label"] {
+            event.field_str(k).map_err(at)?;
+        }
+    }
+    match doc.get("recovery_report") {
+        None => return Err("document missing `recovery_report`".into()),
+        Some(Json::Null) => {
+            if !recovery.is_empty() {
+                return Err("recovery events present but `recovery_report` is null".into());
+            }
+        }
+        Some(report) => {
+            let at = |e: String| format!("recovery_report: {e}");
+            report.expect_schema("mpcjoin-recovery-v1").map_err(at)?;
+            let retries = report.field_u64("retries").map_err(at)?;
+            if retries != retransmits {
+                return Err(format!(
+                    "recovery_report.retries = {retries} but the trace carries {retransmits} retransmit events"
+                ));
+            }
+            let lost = report.field_arr("servers_lost").map_err(at)?.len() as u64;
+            if lost != crash_replays {
+                return Err(format!(
+                    "recovery_report.servers_lost has {lost} entries but the trace carries {crash_replays} crash_replay events"
+                ));
+            }
+            let recovered = report.field_bool("recovered").map_err(at)?;
+            let poisoned = !matches!(report.get("unrecoverable"), Some(Json::Null) | None);
+            if recovered == poisoned {
+                return Err(format!(
+                    "recovery_report.recovered = {recovered} contradicts its `unrecoverable` member"
+                ));
+            }
+            let embedded = report.field_arr("events").map_err(at)?.len();
+            if embedded != recovery.len() {
+                return Err(format!(
+                    "recovery_report.events has {embedded} entries, trace `recovery` has {}",
+                    recovery.len()
+                ));
+            }
+            recovery_note = format!(
+                ", recovery {} ({} events)",
+                if recovered { "ok" } else { "FAILED" },
+                recovery.len()
+            );
+        }
+    }
+
+    Ok(format!(
+        "trace OK ({TRACE_SCHEMA}): {servers} servers, {} events, load {load}, {rounds} rounds, {total_units} units{audit_note}{recovery_note}",
+        events.len()
+    ))
 }
 
 #[cfg(test)]
@@ -734,5 +978,35 @@ mod tests {
         b.events[0].at = Duration::from_secs(5);
         b.compute[0].elapsed = Duration::from_secs(5);
         assert_eq!(a, b);
+    }
+
+    /// A minimal traffic-free document under the given schema tag.
+    fn empty_trace(schema: &str) -> String {
+        format!(
+            r#"{{"schema":"{schema}","servers":2,"load":0,"rounds":0,"total_units":0,
+               "events":[],"report":{{"per_server":[0,0],"critical":null}},
+               "audit":null,"recovery":[],"recovery_report":null}}"#
+        )
+    }
+
+    #[test]
+    fn only_v3_documents_are_accepted() {
+        assert!(validate(&empty_trace("mpcjoin-trace-v3")).is_ok());
+        for old in ["mpcjoin-trace-v1", "mpcjoin-trace-v2"] {
+            let err = validate(&empty_trace(old)).unwrap_err();
+            assert!(err.contains("unsupported schema"), "{old}: {err}");
+        }
+    }
+
+    #[test]
+    fn validate_accepts_its_own_export_and_sizes_nothing_from_a_bare_number() {
+        let t = two_label_trace();
+        let msg = validate(&t.to_json()).expect("exporter and validator agree");
+        assert!(msg.contains("2 servers, 3 events, load 7"), "{msg}");
+        // A huge `servers` with a short histogram is a message, not an
+        // allocation.
+        let err = validate(&empty_trace(TRACE_SCHEMA).replace("\"servers\":2", "\"servers\":9e15"))
+            .unwrap_err();
+        assert!(err.contains("report.per_server has 2 entries"), "{err}");
     }
 }

@@ -61,26 +61,27 @@
 //! artifact is marked `chaos` so downstream checks do the same.
 //!
 //! After the workload the final `stats` frame is scraped and the
-//! server's own counters are cross-checked against the client-side
-//! tallies (completions vs responses, rejections vs retries, cache
-//! hits) — the scheduler bumps its counters *before* responding, so
-//! once the last response has been read any drift is a lost or
-//! duplicated frame and the run fails. `--stats-out FILE` saves the
-//! scraped frame for `obs_check` / CI.
+//! server's own counters are reconciled with the client-side tallies
+//! (completions vs responses, rejections vs retries, cache hits) by
+//! `mpcjoin_server::obs::reconcile_client` — the scheduler bumps its
+//! counters *before* responding, so once the last response has been
+//! read any drift is a lost or duplicated frame and the run fails.
+//! `--stats-out FILE` saves the scraped frame for `mpcjoin-check obs`.
 //!
-//! `--artifact FILE` writes a `mpcjoin-bench-server-v1` document (see
-//! `mpcjoin_bench::server`): per-class query counts and summed simulated
-//! loads are deterministic (diffed by `bench_check` against
-//! `results/BENCH_baseline_server.json`); throughput and latency
-//! percentiles — client-side per class plus the server's own
-//! end-to-end p50/p95 from the scraped histogram — are informational.
+//! `--artifact FILE` writes a `mpcjoin-bench-server-v1` ledger (see
+//! `mpcjoin_bench::artifact`): per-class query counts and summed
+//! simulated loads are deterministic (diffed by `mpcjoin-check bench`
+//! against `results/BENCH_baseline_server.json`); retry and cache-hit
+//! counts are recorded for `mpcjoin-check obs`. Latency and throughput
+//! are not this tool's business: the repo benchmark (`benchmark/`)
+//! measures them.
 
 use mpcjoin::mpc::hash::seeded_hash;
 use mpcjoin::mpc::json::Json;
 use mpcjoin::mpc::DetRng;
 use mpcjoin::prelude::*;
-use mpcjoin_bench::server::{ServerArtifact, ServerRecord};
-use mpcjoin_server::obs::StatsView;
+use mpcjoin_bench::{Artifact, ServerArtifact, ServerRecord};
+use mpcjoin_server::obs::{reconcile_client, StatsView};
 use mpcjoin_server::wire::ResponseView;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -364,7 +365,6 @@ struct Agg {
     conn_retries: u64,
     cache_hits: u64,
     load_sum: u64,
-    latencies_ns: Vec<u64>,
 }
 
 /// Ceiling on the per-connection chaos retries for one request.
@@ -423,7 +423,6 @@ fn run_query(
     failures: &mut Vec<String>,
 ) -> Option<ResponseView> {
     agg.sent += 1;
-    let started = Instant::now();
     let mut rng = DetRng::seed_from_u64(seeded_hash(args.seed, &("retry", expected_id)));
     let mut conn_attempts = 0u32;
     let mut bp_attempts = 0u32;
@@ -473,8 +472,6 @@ fn run_query(
             _ => {}
         }
         agg.responses += 1;
-        agg.latencies_ns
-            .push(started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
         if view.cached {
             agg.cache_hits += 1;
         }
@@ -775,14 +772,6 @@ fn run_session(args: &Args, session: usize, fault_plan: Option<&Json>) -> Sessio
     }
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
 /// Fetch the server's `stats` frame, returning the raw frame line.
 fn scrape_stats(addr: &str) -> Result<String, String> {
     let mut conn = Conn::open(addr)?;
@@ -881,7 +870,6 @@ fn main() -> ExitCode {
         },
     };
 
-    let started = Instant::now();
     let reports: Vec<SessionReport> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..args.sessions)
             .map(|s| {
@@ -895,7 +883,6 @@ fn main() -> ExitCode {
             .map(|h| h.join().expect("session thread"))
             .collect()
     });
-    let wall = started.elapsed();
 
     // Aggregate per class (+ the fault twin pseudo-class).
     let mut failures: Vec<String> = Vec::new();
@@ -917,12 +904,10 @@ fn main() -> ExitCode {
             total.conn_retries += a.conn_retries;
             total.cache_hits += a.cache_hits;
             total.load_sum += a.load_sum;
-            total.latencies_ns.extend(&a.latencies_ns);
         }
         if total.sent == 0 {
             continue; // e.g. no --fault-plan ⇒ no `fault` record
         }
-        total.latencies_ns.sort_unstable();
         records.push(ServerRecord {
             workload: (*label).to_string(),
             sent: total.sent,
@@ -932,9 +917,6 @@ fn main() -> ExitCode {
             retries: total.retries,
             cache_hits: total.cache_hits,
             load_sum: total.load_sum,
-            p50_ns: percentile(&total.latencies_ns, 0.50),
-            p95_ns: percentile(&total.latencies_ns, 0.95),
-            max_ns: total.latencies_ns.last().copied().unwrap_or(0),
         });
     }
     for report in &reports {
@@ -942,16 +924,11 @@ fn main() -> ExitCode {
     }
     let total_responses: u64 = records.iter().map(|r| r.responses).sum();
     let total_hits: u64 = records.iter().map(|r| r.cache_hits).sum();
-    let total_retries: u64 = records.iter().map(|r| r.retries).sum();
-    // Update frames run inline on the connection thread — they never
-    // pass through admission or the scheduler, so the scheduler-side
-    // cross-checks compare against query responses only.
     let update_responses: u64 = records
         .iter()
         .find(|r| r.workload == "update")
         .map(|r| r.responses)
         .unwrap_or(0);
-    let query_responses = total_responses.saturating_sub(update_responses);
     let total_revalidations: u64 = reports.iter().map(|r| r.revalidations).sum();
     let total_conn_retries: u64 = reports
         .iter()
@@ -961,12 +938,18 @@ fn main() -> ExitCode {
     if total_hits == 0 {
         failures.push("no response was ever served from the cache".into());
     }
+    let artifact = ServerArtifact {
+        sessions: args.sessions as u64,
+        per_session: args.queries as u64,
+        seed: args.seed,
+        records,
+        chaos: args.chaos,
+        updates: update_responses,
+        revalidations: total_revalidations,
+    };
 
-    // Scrape the server's own counters and cross-check them against the
-    // client-side tallies. The scheduler moves its counters before it
-    // responds, so once every response has been read the two views must
-    // agree exactly; drift means a lost or duplicated response.
-    let (mut server_p50_ns, mut server_p95_ns) = (0u64, 0u64);
+    // Scrape the server's own counters and reconcile them with the
+    // client-side tallies (exactly, or as lower bounds under chaos).
     match scrape_stats(&control_addr) {
         Err(e) => failures.push(format!("stats scrape: {e}")),
         Ok(raw) => {
@@ -977,91 +960,16 @@ fn main() -> ExitCode {
                     println!("wrote {path}");
                 }
             }
-            match Json::parse(&raw) {
-                Err(e) => failures.push(format!("stats frame does not parse: {e}")),
-                Ok(doc) => {
-                    // Under chaos the proxy can eat a response the
-                    // server already counted (or a resend can run the
-                    // same query twice server-side), so every
-                    // server-vs-client pair degrades from an exact
-                    // equality to a lower bound: server < client is
-                    // still always a lost or duplicated frame.
-                    fn check(
-                        failures: &mut Vec<String>,
-                        chaos: bool,
-                        name: &str,
-                        server: Option<u64>,
-                        client: u64,
-                    ) {
-                        match server {
-                            None => failures.push(format!("stats frame is missing `{name}`")),
-                            Some(s) if !chaos && s != client => failures.push(format!(
-                                "stats cross-check: {name}: server says {s}, client counted {client}"
-                            )),
-                            Some(s) if chaos && s < client => failures.push(format!(
-                                "stats cross-check: {name}: server says {s} < client's {client} (chaos lower bound)"
-                            )),
-                            Some(_) => {}
-                        }
-                    }
-                    let chaos = args.chaos;
-                    match doc.get("stats").map(Json::to_string_sanitized) {
-                        None => failures
-                            .push("stats frame is missing the nested `stats` payload".into()),
-                        Some(nested) => match StatsView::parse(&nested) {
-                            Err(e) => failures.push(format!("nested stats payload: {e}")),
-                            Ok(view) => {
-                                let sched = |name: &str| view.num(&["sched", name]);
-                                check(
-                                    &mut failures,
-                                    chaos,
-                                    "stats.sched.completed",
-                                    sched("completed"),
-                                    query_responses,
-                                );
-                                check(
-                                    &mut failures,
-                                    chaos,
-                                    "stats.sched.admitted",
-                                    sched("admitted"),
-                                    query_responses,
-                                );
-                                check(
-                                    &mut failures,
-                                    chaos,
-                                    "stats.sched.rejected_overload + rejected_quota",
-                                    sched("rejected_overload")
-                                        .zip(sched("rejected_quota"))
-                                        .map(|(a, b)| a + b),
-                                    total_retries,
-                                );
-                                // Coalesced followers are cache hits from
-                                // the client's view but land in
-                                // `coalesce.hits` server-side; fault-free
-                                // runs have no concurrent identical
-                                // digests so the sum stays exact.
-                                check(
-                                    &mut failures,
-                                    chaos,
-                                    "stats.cache.hits + coalesce.hits",
-                                    view.num(&["cache", "hits"])
-                                        .map(|h| h + view.counter("coalesce.hits")),
-                                    total_hits,
-                                );
-                                server_p50_ns = view.latency_quantile("total", 0.50).unwrap_or(0);
-                                server_p95_ns = view.latency_quantile("total", 0.95).unwrap_or(0);
-                            }
-                        },
-                    }
-                }
+            match StatsView::parse(&raw) {
+                Err(e) => failures.push(format!("stats frame: {e}")),
+                Ok(view) => failures.extend(reconcile_client(&view, &artifact)),
             }
         }
     }
 
-    let throughput = total_responses as f64 / wall.as_secs_f64().max(1e-9);
     println!(
-        "loadgen: {} sessions, {total_responses} responses in {wall:.2?} ({throughput:.0} q/s), {} cache hits",
-        args.sessions, total_hits
+        "loadgen: {} sessions, {total_responses} responses, {total_hits} cache hits",
+        args.sessions
     );
     if args.chaos {
         println!(
@@ -1075,40 +983,13 @@ fn main() -> ExitCode {
              revalidated re-queries verified bit-identical"
         );
     }
-    for r in &records {
+    for r in &artifact.records {
         println!(
-            "  {:<6} sent {:>5}  responses {:>5}  retries {:>4}  hits {:>4}  load_sum {:>8}  \
-             p50 {:>8.3?}  p95 {:>8.3?}  max {:>8.3?}",
-            r.workload,
-            r.sent,
-            r.responses,
-            r.retries,
-            r.cache_hits,
-            r.load_sum,
-            Duration::from_nanos(r.p50_ns),
-            Duration::from_nanos(r.p95_ns),
-            Duration::from_nanos(r.max_ns),
+            "  {:<6} sent {:>5}  responses {:>5}  retries {:>4}  hits {:>4}  load_sum {:>8}",
+            r.workload, r.sent, r.responses, r.retries, r.cache_hits, r.load_sum,
         );
     }
-    println!(
-        "  server-side end-to-end latency: p50 {:>8.3?}  p95 {:>8.3?}",
-        Duration::from_nanos(server_p50_ns),
-        Duration::from_nanos(server_p95_ns),
-    );
 
-    let artifact = ServerArtifact {
-        sessions: args.sessions as u64,
-        per_session: args.queries as u64,
-        seed: args.seed,
-        records,
-        wall_ns: wall.as_nanos().min(u64::MAX as u128) as u64,
-        throughput_qps: throughput,
-        server_p50_ns,
-        server_p95_ns,
-        chaos: args.chaos,
-        updates: update_responses,
-        revalidations: total_revalidations,
-    };
     if let Some(path) = &args.artifact {
         if let Err(e) = std::fs::write(path, artifact.to_json_string()) {
             eprintln!("loadgen: write {path}: {e}");

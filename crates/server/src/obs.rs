@@ -49,13 +49,15 @@
 //!
 //! ## Validation
 //!
-//! [`check_log`] and [`cross_check`] (driven by the `obs_check` binary)
-//! validate a log file line-by-line and cross-validate its event counts
-//! against a scraped serverstats payload ([`StatsView`]) and a loadgen
-//! run's client-side tallies (`mpcjoin-bench-server-v1`): every query
-//! frame is either rejected or completed, server-side completion /
-//! rejection / cache-hit counters equal both the log's event counts and
-//! the client's, and nothing was lost or duplicated.
+//! [`check`] (the library half of `mpcjoin-check obs`) validates a log
+//! file line-by-line ([`check_log`]) and cross-validates its event
+//! counts ([`cross_check`]) against a scraped serverstats payload
+//! ([`StatsView`]) and a loadgen run's client-side tallies
+//! (`mpcjoin-bench-server-v1`): every query frame is either rejected or
+//! completed, server-side completion / rejection / cache-hit counters
+//! equal both the log's event counts and the client's
+//! ([`reconcile_client`], which `loadgen` also runs on its own scrape),
+//! and nothing was lost or duplicated.
 
 use crate::cache::CacheStats;
 use crate::sched::SchedStats;
@@ -63,7 +65,7 @@ use crate::wire::WireError;
 use mpcjoin::mpc::json::Json;
 use mpcjoin::mpc::metrics::LogHistogram;
 use mpcjoin::prelude::AuditVerdict;
-use mpcjoin_bench::server::ServerArtifact;
+use mpcjoin_bench::{Artifact, ServerArtifact, ServerRecord};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::path::Path;
@@ -622,8 +624,8 @@ fn counters_json(fields: &[(&str, u64)]) -> Json {
 }
 
 // ---------------------------------------------------------------------------
-// Readers: the parsers obs_check (and the fuzz suite) drive. Strict on
-// the members the cross-checks rely on, tolerant of additions.
+// Readers: the parsers `mpcjoin-check obs` (and the fuzz suite) drive.
+// Strict on the members the cross-checks rely on, tolerant of additions.
 // ---------------------------------------------------------------------------
 
 /// A parsed `mpcjoin-log-v1` line.
@@ -643,28 +645,13 @@ impl LogEventView {
     /// Parse and validate one log line.
     pub fn parse(line: &str) -> Result<LogEventView, String> {
         let doc = Json::parse(line).map_err(|e| format!("unparseable log line: {e}"))?;
-        match doc.get("schema").and_then(Json::as_str) {
-            Some(LOG_SCHEMA) => {}
-            Some(other) => return Err(format!("unknown log schema `{other}`")),
-            None => return Err("log line missing `schema`".into()),
-        }
-        let ts_ns = doc
-            .get("ts_ns")
-            .and_then(Json::as_u64)
-            .ok_or("log line missing integer `ts_ns`")?;
-        let level = doc
-            .get("level")
-            .and_then(Json::as_str)
-            .ok_or("log line missing `level`")?
-            .to_string();
+        doc.expect_schema(LOG_SCHEMA)?;
+        let ts_ns = doc.field_u64("ts_ns")?;
+        let level = doc.field_str("level")?.to_string();
         if !matches!(level.as_str(), "info" | "warn" | "error") {
             return Err(format!("unknown log level `{level}`"));
         }
-        let event = doc
-            .get("event")
-            .and_then(Json::as_str)
-            .ok_or("log line missing `event`")?
-            .to_string();
+        let event = doc.field_str("event")?.to_string();
         if event.is_empty() {
             return Err("empty `event`".into());
         }
@@ -684,14 +671,16 @@ pub struct StatsView {
 }
 
 impl StatsView {
-    /// Parse and validate a stats payload document.
+    /// Parse and validate a stats payload document — bare, or nested
+    /// under the `stats` member of a `stats` response frame (what
+    /// `loadgen --stats-out` saves).
     pub fn parse(text: &str) -> Result<StatsView, String> {
         let doc = Json::parse(text).map_err(|e| format!("unparseable stats: {e}"))?;
-        match doc.get("schema").and_then(Json::as_str) {
-            Some(SERVERSTATS_SCHEMA) => {}
-            Some(other) => return Err(format!("unknown stats schema `{other}`")),
-            None => return Err("stats payload missing `schema`".into()),
-        }
+        let doc = match doc.get("stats") {
+            Some(payload) => payload.clone(),
+            None => doc,
+        };
+        doc.expect_schema(SERVERSTATS_SCHEMA)?;
         let view = StatsView { doc };
         // The members every cross-check relies on must be present.
         for path in [
@@ -794,69 +783,54 @@ pub fn check_log(text: &str) -> Result<LogSummary, Vec<String>> {
         if line.trim().is_empty() {
             continue;
         }
+        let mut fail = |e: String| errors.push(format!("line {}: {e}", lineno + 1));
         let ev = match LogEventView::parse(line) {
             Ok(ev) => ev,
             Err(e) => {
-                errors.push(format!("line {}: {e}", lineno + 1));
+                fail(e);
                 continue;
             }
         };
         if ev.ts_ns < last_ts {
-            errors.push(format!(
-                "line {}: ts_ns went backwards ({} < {last_ts})",
-                lineno + 1,
-                ev.ts_ns
-            ));
+            fail(format!("ts_ns went backwards ({} < {last_ts})", ev.ts_ns));
         }
         last_ts = ev.ts_ns;
         summary.lines += 1;
         *summary.events.entry(ev.event.clone()).or_insert(0) += 1;
-        let str_member = |k: &str| ev.doc.get(k).and_then(Json::as_str).map(str::to_string);
+        let member = |k: &str| {
+            ev.doc
+                .field_str(k)
+                .map_err(|e| format!("{}: {e}", ev.event))
+        };
         match ev.event.as_str() {
-            "request" => match str_member("kind") {
-                Some(kind) => *summary.requests_by_kind.entry(kind).or_insert(0) += 1,
-                None => errors.push(format!("line {}: request without `kind`", lineno + 1)),
+            "request" => match member("kind") {
+                Ok(kind) => *summary.requests_by_kind.entry(kind.into()).or_insert(0) += 1,
+                Err(e) => fail(e),
             },
-            "reject" => match str_member("reason") {
-                Some(reason) => *summary.rejects_by_reason.entry(reason).or_insert(0) += 1,
-                None => errors.push(format!("line {}: reject without `reason`", lineno + 1)),
+            "reject" => match member("reason") {
+                Ok(reason) => *summary.rejects_by_reason.entry(reason.into()).or_insert(0) += 1,
+                Err(e) => fail(e),
             },
-            "complete" => {
-                let kind = str_member("kind");
-                let outcome = str_member("outcome");
-                match (kind.as_deref(), outcome.as_deref()) {
-                    (Some("query"), Some(out)) => {
+            "complete" => match member("kind").and_then(|k| Ok((k, member("outcome")?))) {
+                Err(e) => fail(e),
+                Ok((kind @ ("query" | "update"), outcome)) => {
+                    let error = outcome == "error";
+                    if !error && outcome != "result" {
+                        fail(format!("unknown {kind} outcome `{outcome}`"));
+                    }
+                    if kind == "query" {
                         summary.completes_query += 1;
-                        if matches!(ev.doc.get("cached"), Some(Json::Bool(true))) {
-                            summary.completes_cached += 1;
-                        }
-                        if out == "error" {
-                            summary.completes_error += 1;
-                        } else if out != "result" {
-                            errors.push(format!(
-                                "line {}: unknown query outcome `{out}`",
-                                lineno + 1
-                            ));
-                        }
-                    }
-                    (Some("explain"), Some(_)) => summary.completes_explain += 1,
-                    (Some("update"), Some(out)) => {
+                        summary.completes_cached +=
+                            u64::from(ev.doc.get("cached") == Some(&Json::Bool(true)));
+                        summary.completes_error += u64::from(error);
+                    } else {
                         summary.completes_update += 1;
-                        if out == "error" {
-                            summary.completes_update_error += 1;
-                        } else if out != "result" {
-                            errors.push(format!(
-                                "line {}: unknown update outcome `{out}`",
-                                lineno + 1
-                            ));
-                        }
+                        summary.completes_update_error += u64::from(error);
                     }
-                    _ => errors.push(format!(
-                        "line {}: complete without `kind`/`outcome`",
-                        lineno + 1
-                    )),
                 }
-            }
+                Ok(("explain", _)) => summary.completes_explain += 1,
+                Ok((kind, _)) => fail(format!("complete with unknown kind `{kind}`")),
+            },
             _ => {} // lifecycle / watchdog events need no extra members
         }
     }
@@ -865,6 +839,75 @@ pub fn check_log(text: &str) -> Result<LogSummary, Vec<String>> {
     } else {
         Err(errors)
     }
+}
+
+/// The one client-vs-server comparison. The scheduler moves its
+/// counters before it responds, so on a fault-free run the two views
+/// agree exactly and any drift is a lost or duplicated frame. Under
+/// chaos the proxy can eat a response the server already counted (or a
+/// resend can run the same query twice server-side), so the pair
+/// degrades to a lower bound: server < client is still always a lost or
+/// duplicated frame.
+fn tally_mismatch(chaos: bool, what: &str, server: Option<u64>, client: u64) -> Option<String> {
+    match server {
+        None => Some(format!("{what}: the server side is missing")),
+        Some(s) if !chaos && s != client => {
+            Some(format!("{what}: server says {s}, client counted {client}"))
+        }
+        Some(s) if chaos && s < client => Some(format!(
+            "{what}: server says {s} < client's {client} (chaos lower bound)"
+        )),
+        Some(_) => None,
+    }
+}
+
+/// One member summed over a loadgen artifact's workload records.
+fn tally(bench: &ServerArtifact, member: fn(&ServerRecord) -> u64) -> u64 {
+    bench.records.iter().map(member).sum()
+}
+
+/// Reconcile a loadgen artifact's client-side tallies with the server's
+/// own counters in a stats payload scraped after the run; one message
+/// per disagreement. `loadgen` runs this on its own final scrape and
+/// [`cross_check`] on the saved one.
+pub fn reconcile_client(stats: &StatsView, bench: &ServerArtifact) -> Vec<String> {
+    let total = |member| tally(bench, member);
+    // Update frames are answered inline on the connection thread — they
+    // never pass through admission or the scheduler — so the scheduler
+    // saw only the query share of the client's responses.
+    let scheduled = total(|r| r.responses).saturating_sub(bench.updates);
+    let sched = |name: &str| stats.num(&["sched", name]);
+    [
+        ("sched.completed", sched("completed"), scheduled),
+        ("sched.admitted", sched("admitted"), scheduled),
+        (
+            "sched.rejected_overload + rejected_quota",
+            sched("rejected_overload")
+                .zip(sched("rejected_quota"))
+                .map(|(a, b)| a + b),
+            total(|r| r.retries),
+        ),
+        // Coalesced followers are cache hits from the client's view but
+        // land in `coalesce.hits` server-side; fault-free runs have no
+        // concurrent identical digests so the sum stays exact.
+        (
+            "cache.hits + coalesce.hits",
+            stats
+                .num(&["cache", "hits"])
+                .map(|h| h + stats.counter("coalesce.hits")),
+            total(|r| r.cache_hits),
+        ),
+    ]
+    .into_iter()
+    .filter_map(|(name, server, client)| {
+        tally_mismatch(
+            bench.chaos,
+            &format!("bench vs stats: {name}"),
+            server,
+            client,
+        )
+    })
+    .collect()
 }
 
 /// Cross-validate a log summary against a scraped stats payload and a
@@ -879,6 +922,9 @@ pub fn cross_check(
 ) -> Result<Vec<String>, Vec<String>> {
     let mut errors = Vec::new();
     let mut notes = Vec::new();
+    let rejects = |reason: &str| log.rejects_by_reason.get(reason).copied().unwrap_or(0);
+    let requests = |kind: &str| log.requests_by_kind.get(kind).copied().unwrap_or(0);
+    let events = |event: &str| log.events.get(event).copied().unwrap_or(0);
     let sched_rejects = [
         "overloaded",
         "quota_exceeded",
@@ -886,83 +932,85 @@ pub fn cross_check(
         "deadline_exceeded",
         "cost_exceeded",
     ]
-    .iter()
-    .map(|r| log.rejects_by_reason.get(*r).copied().unwrap_or(0))
+    .into_iter()
+    .map(rejects)
     .sum::<u64>();
+    // Cold successful runs are the audited ones. The log is a file from
+    // outside the program: a line claiming to be both `cached` and an
+    // `error` would make this difference negative.
+    let audited = log
+        .completes_query
+        .checked_sub(log.completes_cached + log.completes_error)
+        .unwrap_or_else(|| {
+            errors.push(format!(
+                "log: {} query completes cannot cover {} cached + {} errored",
+                log.completes_query, log.completes_cached, log.completes_error
+            ));
+            0
+        });
+    // Errored updates are a subset of the update completes `check_log`
+    // counted, so this one cannot go negative.
+    let updates_ok = log.completes_update - log.completes_update_error;
 
     // Internal consistency: every query frame is either rejected or
     // completed (only checkable when the wire layer logged requests).
-    let query_requests = log.requests_by_kind.get("query").copied().unwrap_or(0);
-    if query_requests > 0 {
-        if query_requests != log.completes_query + sched_rejects {
+    if requests("query") > 0 {
+        let balance = format!(
+            "{} completes + {sched_rejects} rejects",
+            log.completes_query
+        );
+        if requests("query") != log.completes_query + sched_rejects {
             errors.push(format!(
-                "log: {query_requests} query requests but {} completes + {sched_rejects} rejects",
-                log.completes_query
+                "log: {} query requests but {balance}",
+                requests("query")
             ));
         } else {
             notes.push(format!(
-                "log: {query_requests} query requests = {} completes + {sched_rejects} rejects",
-                log.completes_query
-            ));
-        }
-        let explain_requests = log.requests_by_kind.get("explain").copied().unwrap_or(0);
-        if explain_requests != log.completes_explain {
-            errors.push(format!(
-                "log: {explain_requests} explain requests but {} explain completes",
-                log.completes_explain
+                "log: {} query requests = {balance}",
+                requests("query")
             ));
         }
         // Updates are answered inline (never queued), so every update
         // request completes — successfully or with an error frame.
-        let update_requests = log.requests_by_kind.get("update").copied().unwrap_or(0);
-        if update_requests != log.completes_update {
-            errors.push(format!(
-                "log: {update_requests} update requests but {} update completes",
-                log.completes_update
-            ));
+        for (kind, completes) in [
+            ("explain", log.completes_explain),
+            ("update", log.completes_update),
+        ] {
+            if requests(kind) != completes {
+                errors.push(format!(
+                    "log: {} {kind} requests but {completes} {kind} completes",
+                    requests(kind)
+                ));
+            }
         }
     } else {
         notes.push("log: no wire-level request events; skipping request/complete balance".into());
     }
 
     if let Some(stats) = stats {
+        let sched = |name: &str| stats.num(&["sched", name]).unwrap_or(0);
+        let watchdog = |name: &str| stats.num(&["watchdog", name]).unwrap_or(0);
         let pairs = [
-            (
-                "completed",
-                stats.num(&["sched", "completed"]).unwrap_or(0),
-                log.completes_query,
-            ),
+            ("completed", sched("completed"), log.completes_query),
             (
                 "rejected_overload",
-                stats.num(&["sched", "rejected_overload"]).unwrap_or(0),
-                log.rejects_by_reason
-                    .get("overloaded")
-                    .copied()
-                    .unwrap_or(0),
+                sched("rejected_overload"),
+                rejects("overloaded"),
             ),
             (
                 "rejected_quota",
-                stats.num(&["sched", "rejected_quota"]).unwrap_or(0),
-                log.rejects_by_reason
-                    .get("quota_exceeded")
-                    .copied()
-                    .unwrap_or(0),
+                sched("rejected_quota"),
+                rejects("quota_exceeded"),
             ),
             (
                 "rejected_cost",
-                stats.num(&["sched", "rejected_cost"]).unwrap_or(0),
-                log.rejects_by_reason
-                    .get("cost_exceeded")
-                    .copied()
-                    .unwrap_or(0),
+                sched("rejected_cost"),
+                rejects("cost_exceeded"),
             ),
             (
                 "shed_deadline",
-                stats.num(&["sched", "shed_deadline"]).unwrap_or(0),
-                log.rejects_by_reason
-                    .get("deadline_exceeded")
-                    .copied()
-                    .unwrap_or(0),
+                sched("shed_deadline"),
+                rejects("deadline_exceeded"),
             ),
             // A cached completion is either a cache hit or a coalesced
             // join of an in-flight identical run.
@@ -971,34 +1019,29 @@ pub fn cross_check(
                 stats.num(&["cache", "hits"]).unwrap_or(0) + stats.counter("coalesce.hits"),
                 log.completes_cached,
             ),
-            (
-                "watchdog.audited",
-                stats.num(&["watchdog", "audited"]).unwrap_or(0),
-                log.completes_query - log.completes_cached - log.completes_error,
-            ),
+            ("watchdog.audited", watchdog("audited"), audited),
             // Every successful update was absorbed exactly once —
             // incrementally or via the deterministic rerun — and
             // revalidated exactly one cache entry.
             (
                 "delta.applied + delta.fallback",
                 stats.counter("delta.applied") + stats.counter("delta.fallback"),
-                log.completes_update - log.completes_update_error,
+                updates_ok,
             ),
             (
                 "cache.revalidated",
                 stats.counter("cache.revalidated"),
-                log.completes_update - log.completes_update_error,
+                updates_ok,
             ),
             (
                 "watchdog.near_violations",
-                stats.num(&["watchdog", "near_violations"]).unwrap_or(0),
-                log.events.get("near_violation").copied().unwrap_or(0)
-                    + log.events.get("bound_violation").copied().unwrap_or(0),
+                watchdog("near_violations"),
+                events("near_violation") + events("bound_violation"),
             ),
             (
                 "watchdog.violations",
-                stats.num(&["watchdog", "violations"]).unwrap_or(0),
-                log.events.get("bound_violation").copied().unwrap_or(0),
+                watchdog("violations"),
+                events("bound_violation"),
             ),
         ];
         for (name, from_stats, from_log) in pairs {
@@ -1010,24 +1053,16 @@ pub fn cross_check(
         }
         if errors.is_empty() {
             notes.push(format!(
-                "stats vs log: {} completions, {} cache hits, {} audited — consistent",
-                log.completes_query,
-                log.completes_cached,
-                log.completes_query - log.completes_cached - log.completes_error
+                "stats vs log: {} completions, {} cache hits, {audited} audited — consistent",
+                log.completes_query, log.completes_cached,
             ));
         }
     }
 
     if let Some(bench) = bench {
-        let mut sent = 0u64;
-        let mut responses = 0u64;
-        let mut retries = 0u64;
-        let mut hits = 0u64;
+        let total = |member| tally(bench, member);
+        let responses = total(|r| r.responses);
         for r in &bench.records {
-            sent += r.sent;
-            responses += r.responses;
-            retries += r.retries;
-            hits += r.cache_hits;
             if r.lost != 0 || r.duplicated != 0 {
                 errors.push(format!(
                     "bench: workload `{}` reports {} lost / {} duplicated",
@@ -1035,85 +1070,49 @@ pub fn cross_check(
                 ));
             }
         }
-        if sent != responses {
+        if total(|r| r.sent) != responses {
             errors.push(format!(
-                "bench: {sent} sent but {responses} responses (client-side loss)"
+                "bench: {} sent but {responses} responses (client-side loss)",
+                total(|r| r.sent)
             ));
         }
-        // Under chaos the proxy may eat a response after the server
-        // already counted it, so the client's view is a lower bound on
-        // the server's, never an exact match. Fault-free runs stay exact.
-        let backpressure = log
-            .rejects_by_reason
-            .get("overloaded")
-            .copied()
-            .unwrap_or(0)
-            + log
-                .rejects_by_reason
-                .get("quota_exceeded")
-                .copied()
-                .unwrap_or(0);
-        let checks = [
-            // Update responses ride the same records, so the client's
-            // response total covers query *and* update completes.
-            (
-                "responses vs log completes",
-                responses,
-                log.completes_query + log.completes_update,
-            ),
-            (
-                "cache hits vs log cached completes",
-                hits,
-                log.completes_cached,
-            ),
-            ("retries vs log backpressure rejects", retries, backpressure),
-            (
-                "updates vs log update completes",
-                bench.updates,
-                log.completes_update - log.completes_update_error,
-            ),
-        ];
-        for (name, client, server) in checks {
-            let bad = if bench.chaos {
-                client > server
-            } else {
-                client != server
-            };
-            if bad {
-                errors.push(format!(
-                    "bench vs log: {name}: client counted {client}, server logged {server}{}",
-                    if bench.chaos { " (chaos bound)" } else { "" }
-                ));
-            }
-        }
+        errors.extend(
+            [
+                // Update responses ride the same records, so the
+                // client's response total covers query *and* update
+                // completes.
+                (
+                    "responses vs log completes",
+                    log.completes_query + log.completes_update,
+                    responses,
+                ),
+                (
+                    "cache hits vs log cached completes",
+                    log.completes_cached,
+                    total(|r| r.cache_hits),
+                ),
+                (
+                    "retries vs log backpressure rejects",
+                    rejects("overloaded") + rejects("quota_exceeded"),
+                    total(|r| r.retries),
+                ),
+                ("updates vs log update completes", updates_ok, bench.updates),
+            ]
+            .into_iter()
+            .filter_map(|(name, logged, client)| {
+                let what = format!("bench vs log: {name}");
+                tally_mismatch(bench.chaos, &what, Some(logged), client)
+            }),
+        );
         if let Some(stats) = stats {
-            // Updates are answered inline, so only the query share of
-            // the client's responses went through the scheduler.
-            let sched_responses = responses.saturating_sub(bench.updates);
-            let completed = stats.num(&["sched", "completed"]).unwrap_or(0);
-            let bad = if bench.chaos {
-                sched_responses > completed
-            } else {
-                sched_responses != completed
-            };
-            if bad {
-                errors.push(format!(
-                    "bench vs stats: client received {sched_responses} scheduled responses, \
-                     server completed {completed}"
-                ));
-            }
+            errors.extend(reconcile_client(stats, bench));
         }
         if errors.is_empty() {
-            notes.push(if bench.chaos {
-                format!(
-                    "bench (chaos): {responses} client responses bounded by server-side counts, \
-                     0 lost / 0 duplicated"
-                )
-            } else {
-                format!(
-                    "bench: {responses} client responses match server-side counts, 0 lost / 0 duplicated"
-                )
-            });
+            notes.push(format!(
+                "bench{}: {responses} client responses {} server-side counts, 0 lost / 0 duplicated",
+                if bench.chaos { " (chaos)" } else { "" },
+                if bench.chaos { "bounded by" } else { "match" },
+            ));
         }
     }
 
@@ -1122,6 +1121,49 @@ pub fn cross_check(
     } else {
         Err(errors)
     }
+}
+
+/// The library half of `mpcjoin-check obs`: validate an operational log
+/// and reconcile it with whichever of a scraped stats payload and a
+/// loadgen artifact are given. Three layers of checks (each optional
+/// input adds one):
+///
+/// 1. **Log validity** ([`check_log`]) — every line parses under the
+///    schema, levels are known, timestamps are monotone in file order,
+///    and each known event carries its required members.
+/// 2. **Log ↔ stats** — the server's own counters agree with the log's
+///    event counts: completions, per-reason rejections, cache hits, and
+///    the watchdog's audited / near-violation / violation tallies.
+/// 3. **Log ↔ bench ↔ stats** — the *client's* tallies agree with both:
+///    every response the client received is a logged completion, every
+///    retry a logged backpressure rejection, every observed cache hit a
+///    logged cached completion, and nothing was lost or duplicated.
+///
+/// Returns the consistency notes, or every discrepancy.
+pub fn check(
+    log: &str,
+    stats: Option<&str>,
+    bench: Option<&str>,
+) -> Result<Vec<String>, Vec<String>> {
+    let summary = check_log(log)?;
+    let stats = stats
+        .map(StatsView::parse)
+        .transpose()
+        .map_err(|e| vec![format!("stats: {e}")])?;
+    let bench = bench
+        .map(ServerArtifact::parse)
+        .transpose()
+        .map_err(|e| vec![format!("bench: {e}")])?;
+    let mut notes = vec![format!(
+        "log: {} lines, {} query completes ({} cached, {} errors), {} explain completes",
+        summary.lines,
+        summary.completes_query,
+        summary.completes_cached,
+        summary.completes_error,
+        summary.completes_explain,
+    )];
+    notes.extend(cross_check(&summary, stats.as_ref(), bench.as_ref())?);
+    Ok(notes)
 }
 
 #[cfg(test)]
@@ -1314,5 +1356,65 @@ mod tests {
         log.completes_query = 2;
         let errors = cross_check(&log, None, None).unwrap_err();
         assert!(errors[0].contains("5 query requests"), "{errors:?}");
+    }
+
+    #[test]
+    fn a_cached_error_line_is_a_reconciliation_error_not_an_underflow() {
+        // Syntactically valid, semantically impossible: one completion
+        // counted as both a cache hit and an error.
+        let line = "{\"schema\":\"mpcjoin-log-v1\",\"ts_ns\":1,\"level\":\"info\",\
+                    \"event\":\"complete\",\"kind\":\"query\",\"outcome\":\"error\",\"cached\":true}";
+        let summary = check_log(line).expect("every member is well-formed");
+        assert_eq!(
+            (
+                summary.completes_query,
+                summary.completes_cached,
+                summary.completes_error
+            ),
+            (1, 1, 1)
+        );
+        let stats = Obs::new()
+            .stats_json(&SchedStats::default(), &CacheStats::default())
+            .to_string_sanitized();
+        let stats = StatsView::parse(&stats).unwrap();
+        let errors = cross_check(&summary, Some(&stats), None).unwrap_err();
+        assert!(
+            errors[0].contains("1 query completes cannot cover 1 cached + 1 errored"),
+            "{errors:?}"
+        );
+    }
+
+    #[test]
+    fn client_tallies_are_exact_without_chaos_and_a_lower_bound_under_it() {
+        let stats_with = |completed: u64| {
+            let sched = SchedStats {
+                admitted: completed,
+                completed,
+                ..SchedStats::default()
+            };
+            let doc = Obs::new().stats_json(&sched, &CacheStats::default());
+            // The saved `stats` frame nests the payload; both shapes parse.
+            let frame = Json::Obj(vec![("stats".into(), doc)]).to_string_sanitized();
+            StatsView::parse(&frame).unwrap()
+        };
+        let bench = |chaos: bool| ServerArtifact {
+            records: vec![ServerRecord {
+                workload: "mm".into(),
+                sent: 3,
+                responses: 3,
+                ..ServerRecord::default()
+            }],
+            chaos,
+            ..ServerArtifact::default()
+        };
+        assert!(reconcile_client(&stats_with(3), &bench(false)).is_empty());
+        let exact = reconcile_client(&stats_with(4), &bench(false));
+        assert!(
+            exact[0].contains("sched.completed: server says 4, client counted 3"),
+            "{exact:?}"
+        );
+        assert!(reconcile_client(&stats_with(4), &bench(true)).is_empty());
+        let bound = reconcile_client(&stats_with(2), &bench(true));
+        assert!(bound[0].contains("(chaos lower bound)"), "{bound:?}");
     }
 }

@@ -297,8 +297,10 @@ fn recovered_runs_export_a_v3_trace_with_the_story_embedded() {
         .unwrap();
     let trace = r.trace.as_ref().unwrap();
     assert!(!trace.recovery.is_empty(), "a fired schedule leaves events");
-    let doc = Json::parse(&trace.to_json_with(Some(&r.audit.to_json()), r.recovery.as_ref()))
-        .expect("valid JSON");
+    let text = trace.to_json_with(Some(&r.audit.to_json()), r.recovery.as_ref());
+    let summary = mpcjoin::mpc::trace::validate(&text).expect("the faulted export validates");
+    assert!(summary.contains("recovery ok"), "{summary}");
+    let doc = Json::parse(&text).expect("valid JSON");
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
         Some("mpcjoin-trace-v3")

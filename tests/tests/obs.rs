@@ -130,7 +130,7 @@ fn operational_log_round_trips_and_cross_checks() {
     assert_eq!(summary.completes_cached, 1);
     assert_eq!(summary.completes_error, 1);
 
-    // The same reconciliation obs_check runs in CI holds in-process.
+    // The same reconciliation `mpcjoin-check obs` runs in CI holds in-process.
     let stats = StatsView::parse(&doc).expect("stats payload parses");
     let notes = cross_check(&summary, Some(&stats), None).expect("log and stats reconcile");
     assert!(!notes.is_empty());

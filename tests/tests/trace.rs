@@ -3,6 +3,7 @@
 //! the cost ledger, and backend-independence of the recorded events.
 
 use mpcjoin::mpc::json::Json;
+use mpcjoin::mpc::trace::validate;
 use mpcjoin::prelude::*;
 use mpcjoin::workload::chain;
 
@@ -24,6 +25,7 @@ fn trace_json_roundtrips_and_matches_cost_report() {
     let (q, rels) = funnel_instance();
     let (trace, cost) = traced_run(QueryEngine::new(8), &q, &rels);
 
+    validate(&trace.to_json()).expect("the library validator accepts the export");
     let doc = Json::parse(&trace.to_json()).expect("exporter emits valid JSON");
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
@@ -88,9 +90,10 @@ fn trace_json_embeds_the_audit_verdict() {
     let (q, rels) = funnel_instance();
     let result = QueryEngine::new(8).trace(true).run(&q, &rels).unwrap();
     let trace = result.trace.as_ref().unwrap();
-    let doc =
-        Json::parse(&trace.to_json_with(Some(&result.audit.to_json()), result.recovery.as_ref()))
-            .unwrap();
+    let text = trace.to_json_with(Some(&result.audit.to_json()), result.recovery.as_ref());
+    let summary = validate(&text).expect("the audited export validates");
+    assert!(summary.contains("audit ok"), "{summary}");
+    let doc = Json::parse(&text).unwrap();
     let audit = doc.get("audit").expect("audit member present");
     assert_ne!(audit, &Json::Null);
     assert_eq!(
@@ -145,7 +148,35 @@ fn traces_are_identical_across_backends() {
         assert_eq!(threaded.events, serial.events, "{threads} threads");
         assert_eq!(threaded.compute, serial.compute, "{threads} threads");
         assert_eq!(threaded.phases, serial.phases, "{threads} threads");
+        validate(&threaded.to_json()).expect("every backend's export validates");
     }
+}
+
+#[test]
+fn a_tampered_trace_fails_validation_naming_the_cell() {
+    let (q, rels) = funnel_instance();
+    let (mut trace, _) = traced_run(QueryEngine::new(8), &q, &rels);
+    // Bump one traffic cell without touching the received vector the
+    // ledger was credited from.
+    let (e, src, dst) = trace
+        .events
+        .iter()
+        .enumerate()
+        .find_map(|(e, ev)| {
+            let src = ev
+                .traffic
+                .iter()
+                .position(|row| row.iter().any(|&u| u > 0))?;
+            let dst = ev.traffic[src].iter().position(|&u| u > 0)?;
+            Some((e, src, dst))
+        })
+        .expect("a real run moves tuples");
+    trace.events[e].traffic[src][dst] += 1;
+    let err = validate(&trace.to_json()).expect_err("the column no longer re-sums");
+    assert!(
+        err.contains(&format!("event {e}: traffic column {dst} sums to")),
+        "{err}"
+    );
 }
 
 #[test]
