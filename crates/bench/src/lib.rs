@@ -98,7 +98,7 @@ pub fn emit_trace(trace: &mpcjoin::mpc::Trace, slug: &str) {
     }
     if let Ok(dir) = std::env::var("MPCJOIN_CSV_DIR") {
         let path = std::path::Path::new(&dir).join(format!("{slug}_trace.json"));
-        if let Err(e) = std::fs::write(&path, trace.to_json()) {
+        if let Err(e) = std::fs::write(&path, trace.to_json(None, None, None)) {
             eprintln!("warning: could not write {}: {e}", path.display());
         }
     }

@@ -31,7 +31,8 @@
 //! verdict and any recovery report embedded (schema `mpcjoin-trace-v3`,
 //! see `mpcjoin_mpc::trace`), and `--metrics FILE` writes the run's
 //! metrics snapshot (schema `mpcjoin-metrics-v1`, see
-//! `mpcjoin_mpc::metrics`).
+//! `mpcjoin_mpc::metrics`) — a fold over the same trace, so `--metrics`
+//! alone records one too.
 //!
 //! `--plan NAME` selects the planning mode: `auto` (the default) runs
 //! cost-based selection over every applicable algorithm, `heuristic` the
@@ -351,8 +352,7 @@ fn run_semiring<S: Semiring>(
     let mut engine = QueryEngine::new(args.servers)
         .threads(args.threads)
         .plan(args.plan)
-        .trace(args.trace.is_some())
-        .metrics(args.metrics.is_some());
+        .trace(args.trace.is_some() || args.metrics.is_some());
     if let Some(plan) = load_fault_plan(args)? {
         engine = engine.faults(plan);
     }
@@ -406,7 +406,11 @@ fn run_semiring<S: Semiring>(
         let trace = result.trace.as_ref().expect("tracing was enabled");
         std::fs::write(
             path,
-            trace.to_json_with(Some(&result.audit.to_json()), result.recovery.as_ref()),
+            trace.to_json(
+                Some(&result.audit.to_json()),
+                result.recovery.as_ref(),
+                None,
+            ),
         )
         .map_err(|e| format!("{}: {e}", path.display()))?;
         if !args.json {
@@ -427,7 +431,8 @@ fn run_semiring<S: Semiring>(
     }
 
     if let Some(path) = &args.metrics {
-        let snap = result.metrics.as_ref().expect("metrics were enabled");
+        let trace = result.trace.as_ref().expect("tracing was enabled");
+        let snap = trace.metrics(result.recovery.as_ref());
         std::fs::write(path, snap.to_json()).map_err(|e| format!("{}: {e}", path.display()))?;
         if !args.json {
             println!(

@@ -110,7 +110,7 @@ impl QueryEngine {
             within: (measured as f64) <= DEFAULT_SLACK * bound + additive,
         };
 
-        let (trace, metrics, recovery) = run.finish();
+        let (trace, recovery) = run.finish();
         let result = ExecutionResult {
             output: view.output().clone(),
             cost,
@@ -118,7 +118,6 @@ impl QueryEngine {
             output_skew,
             audit,
             trace,
-            metrics,
             recovery,
         };
         Ok(DeltaOutcome { result, report })

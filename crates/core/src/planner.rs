@@ -25,8 +25,8 @@ use mpcjoin_joinagg::{line_query, star_like_query, star_query, tree_query};
 use mpcjoin_matmul::matmul;
 use mpcjoin_mpc::join::join_aggregate;
 use mpcjoin_mpc::{
-    catch_cancel, CancelToken, Cluster, CostReport, DistRelation, FaultPlan, FaultPlane,
-    MetricsLog, MetricsSnapshot, MpcError, RecoveryReport, Trace, Tracer,
+    catch_cancel, CancelToken, Cluster, CostReport, DistRelation, FaultPlan, FaultPlane, MpcError,
+    RecoveryReport, Trace, Tracer,
 };
 use mpcjoin_query::{classify, plan_reduction, Shape, TreeQuery};
 use mpcjoin_relation::{Attr, Relation, Row, Schema};
@@ -125,14 +125,13 @@ pub fn with_semiring<V: SemiringVisitor>(name: &str, v: V) -> Result<V::Out, Str
 
 /// Builder-style entry point for executing a join-aggregate query on the
 /// simulated MPC cluster: one builder, every knob (server count, worker
-/// threads, tracing, metrics, plan choice, fault injection), and a
+/// threads, tracing, plan choice, fault injection), and a
 /// `Result` at the boundary instead of a panic.
 #[derive(Clone, Debug)]
 pub struct QueryEngine {
     pub(crate) p: usize,
     pub(crate) threads: Option<usize>,
     pub(crate) trace: bool,
-    pub(crate) metrics: bool,
     pub(crate) plan: PlanChoice,
     pub(crate) faults: Option<FaultPlan>,
     pub(crate) cancel: Option<CancelToken>,
@@ -140,14 +139,13 @@ pub struct QueryEngine {
 
 impl QueryEngine {
     /// An engine over `p` simulated servers, serial local computation,
-    /// tracing and metrics off, automatic plan choice, no fault plan, no
-    /// cancellation token.
+    /// tracing off, automatic plan choice, no fault plan, no cancellation
+    /// token.
     pub fn new(p: usize) -> Self {
         Self {
             p,
             threads: None,
             trace: false,
-            metrics: false,
             plan: PlanChoice::default(),
             faults: None,
             cancel: None,
@@ -165,19 +163,11 @@ impl QueryEngine {
 
     /// Record a round-level execution trace; the run's
     /// [`ExecutionResult::trace`] is `Some` and ledger costs stay
-    /// bit-identical to an untraced run.
+    /// bit-identical to an untraced run. Aggregate metrics are a view of
+    /// it ([`Trace::metrics`]).
     #[must_use]
     pub fn trace(mut self, on: bool) -> Self {
         self.trace = on;
-        self
-    }
-
-    /// Collect aggregate metrics (see `mpcjoin_mpc::metrics`); the run's
-    /// [`ExecutionResult::metrics`] is `Some` and — like tracing — the
-    /// ledger costs stay bit-identical to an uninstrumented run.
-    #[must_use]
-    pub fn metrics(mut self, on: bool) -> Self {
-        self.metrics = on;
         self
     }
 
@@ -275,7 +265,7 @@ impl QueryEngine {
         let output_skew = result.data().skew();
         let output = result.gather();
         let cost = run.cluster.report();
-        let (trace, metrics, recovery) = run.finish();
+        let (trace, recovery) = run.finish();
         // A schedule the retry policy could not absorb: delivery stayed
         // faithful, but the output must not be trusted.
         if let Some((round, detail)) = recovery.as_ref().and_then(|r| r.unrecoverable.clone()) {
@@ -293,7 +283,6 @@ impl QueryEngine {
             output_skew,
             audit,
             trace,
-            metrics,
             recovery,
         })
     }
@@ -318,13 +307,9 @@ impl QueryEngine {
         }
         let faults = faults.map(|plan| cluster.observe(FaultPlane::new(plan.clone(), self.p)));
         let tracer = self.trace.then(|| cluster.observe(Tracer::new(self.p)));
-        let metrics = self
-            .metrics
-            .then(|| cluster.observe(MetricsLog::new(self.p)));
         ObservedCluster {
             cluster,
             tracer,
-            metrics,
             faults,
         }
     }
@@ -353,31 +338,16 @@ impl QueryEngine {
 pub(crate) struct ObservedCluster {
     pub(crate) cluster: Cluster,
     tracer: Option<Rc<RefCell<Tracer>>>,
-    metrics: Option<Rc<RefCell<MetricsLog>>>,
     faults: Option<Rc<RefCell<FaultPlane>>>,
 }
 
 impl ObservedCluster {
-    /// Finalize every observer against the ledger: the recovery report
-    /// first, because the trace embeds its events and the metrics
-    /// snapshot its `fault.*` totals.
-    pub(crate) fn finish(
-        self,
-    ) -> (
-        Option<Trace>,
-        Option<MetricsSnapshot>,
-        Option<RecoveryReport>,
-    ) {
-        let ObservedCluster {
-            cluster,
-            tracer,
-            metrics,
-            faults,
-        } = self;
-        let recovery = faults.map(|f| f.borrow_mut().take_report());
-        let trace = tracer.map(|t| t.borrow_mut().finish(&cluster, recovery.as_ref()));
-        let metrics = metrics.map(|m| m.borrow_mut().finish(&cluster, recovery.as_ref()));
-        (trace, metrics, recovery)
+    /// Finalize every observer against the ledger: the trace and the
+    /// fault plane's recovery report.
+    pub(crate) fn finish(self) -> (Option<Trace>, Option<RecoveryReport>) {
+        let trace = self.tracer.map(|t| t.borrow_mut().finish(&self.cluster));
+        let recovery = self.faults.map(|f| f.borrow_mut().take_report());
+        (trace, recovery)
     }
 }
 
@@ -466,11 +436,9 @@ pub struct ExecutionResult<S: Semiring> {
     /// plan that ran (always present; see [`crate::audit`]).
     pub audit: AuditVerdict,
     /// The round-level execution trace, when the engine ran with
-    /// [`QueryEngine::trace`] enabled.
+    /// [`QueryEngine::trace`] enabled; [`Trace::metrics`] folds it into
+    /// the aggregate metrics snapshot.
     pub trace: Option<Trace>,
-    /// The metrics snapshot, when the engine ran with
-    /// [`QueryEngine::metrics`] enabled.
-    pub metrics: Option<MetricsSnapshot>,
     /// What the fault plane did to this run, when the engine ran with a
     /// [`QueryEngine::faults`] plan installed (even one whose schedule
     /// never fired — then [`RecoveryReport::is_clean`] holds).
@@ -518,7 +486,6 @@ impl<S: Semiring> fmt::Debug for ExecutionResult<S> {
             .field("output_skew", &self.output_skew)
             .field("audit", &self.audit)
             .field("traced", &self.trace.is_some())
-            .field("metered", &self.metrics.is_some())
             .field("recovery", &self.recovery)
             .finish()
     }
@@ -785,10 +752,14 @@ mod tests {
             Relation::<Count>::binary_ones(B, C, (0..60u64).map(|i| (i % 7, i % 11))),
         ];
         let plain = QueryEngine::new(8).run(&q, &rels).unwrap();
-        assert!(plain.metrics.is_none(), "metrics are off by default");
-        let metered = QueryEngine::new(8).metrics(true).run(&q, &rels).unwrap();
+        assert!(plain.trace.is_none(), "metrics are off by default");
+        let metered = QueryEngine::new(8).trace(true).run(&q, &rels).unwrap();
         assert_eq!(plain.cost, metered.cost, "metrics must not perturb costs");
-        let snap = metered.metrics.expect("metrics requested");
+        let snap = metered
+            .trace
+            .as_ref()
+            .expect("trace requested")
+            .metrics(None);
         assert_eq!(
             snap.per_server.iter().sum::<u64>(),
             metered.cost.total_units
@@ -796,7 +767,7 @@ mod tests {
         assert_eq!(snap.received.max as u64 > 0, metered.cost.total_units > 0);
         assert!(
             snap.per_primitive.iter().any(|(k, _)| k.contains("sort")),
-            "primitive labels recorded without tracing"
+            "primitive labels recorded"
         );
         assert!(plain.output.semantically_eq(&metered.output));
     }

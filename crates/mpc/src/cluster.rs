@@ -604,7 +604,6 @@ impl Drop for OpScope {
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultPlane};
-    use crate::metrics::MetricsLog;
     use crate::trace::Tracer;
 
     #[test]
@@ -737,7 +736,7 @@ mod tests {
         let tracer = traced.observe(Tracer::new(3));
         route(&mut traced);
         assert_eq!(plain.report(), traced.report());
-        let trace = tracer.borrow_mut().finish(&traced, None);
+        let trace = tracer.borrow_mut().finish(&traced);
         assert_eq!(trace.cost, plain.report());
         assert_eq!(trace.events.len(), 2);
         // Event 0: exchange; received = [1, 0, 2].
@@ -764,11 +763,11 @@ mod tests {
         let mut plain = Cluster::new(3);
         route(&mut plain);
         let mut metered = Cluster::new(3);
-        let metrics = metered.observe(MetricsLog::new(3));
+        let tracer = metered.observe(Tracer::new(3));
         route(&mut metered);
-        // The registry never perturbs the ledger.
+        // Recording never perturbs the ledger.
         assert_eq!(plain.report(), metered.report());
-        let snap = metrics.borrow_mut().finish(&metered, None);
+        let snap = tracer.borrow_mut().finish(&metered).metrics(None);
         // Exchange received [1, 0, 2]; broadcast adds 2 to every server.
         assert_eq!(snap.per_server, vec![3, 2, 4]);
         assert_eq!(snap.received.max, 4);
@@ -780,7 +779,7 @@ mod tests {
         };
         assert_eq!(counter("events.exchange"), Some(1));
         assert_eq!(counter("events.broadcast"), Some(1));
-        // The op scope labeled the exchange even with tracing off.
+        // The op scope labeled the exchange.
         let route_hist = snap
             .per_primitive
             .iter()
@@ -789,7 +788,7 @@ mod tests {
             .expect("scope label recorded");
         assert_eq!(route_hist.sum, 3);
         assert_eq!(route_hist.count, 1);
-        // Ledger gauges were sampled at snapshot time.
+        // The gauges are the ledger totals the trace was finished with.
         let gauge = |name: &str| snap.gauges.iter().find(|(k, _)| k == name).map(|(_, v)| *v);
         assert_eq!(gauge("load"), Some(plain.report().load as f64));
         assert_eq!(gauge("rounds"), Some(2.0));
@@ -798,12 +797,13 @@ mod tests {
     #[test]
     fn metrics_and_tracing_compose() {
         let mut c = Cluster::new(2);
-        let metrics = c.observe(MetricsLog::new(2));
         let tracer = c.observe(Tracer::new(2));
         let _ = c.exchange(vec![vec![(1, ()), (1, ())], vec![(0, ())]]);
-        let trace = tracer.borrow_mut().finish(&c, None);
-        let snap = metrics.borrow_mut().finish(&c, None);
-        assert_eq!(trace.per_server(), snap.per_server);
+        let trace = tracer.borrow_mut().finish(&c);
+        let snap = trace.metrics(None);
+        // Server 0 receives one item, server 1 two.
+        assert_eq!(trace.per_server(), vec![1, 2]);
+        assert_eq!(snap.per_server, vec![1, 2]);
         assert_eq!(trace.cost.load, 2);
         assert_eq!(snap.received.max, 2);
     }
@@ -822,7 +822,7 @@ mod tests {
         }
         c.mark_phase("late");
         let _ = c.exchange(vec![vec![(1, ())], vec![]]);
-        let trace = tracer.borrow_mut().finish(&c, None);
+        let trace = tracer.borrow_mut().finish(&c);
         let labels: Vec<&str> = trace.events.iter().map(|e| e.label.as_str()).collect();
         assert_eq!(labels, vec!["semijoin/sort", "semijoin", "(unlabeled)"]);
         let phases: Vec<&str> = trace.events.iter().map(|e| e.phase.as_str()).collect();
@@ -838,7 +838,7 @@ mod tests {
             let _ = child.exchange(vec![vec![(0, ())]]);
         }
         parent.join_parallel(&children);
-        let trace = tracer.borrow_mut().finish(&parent, None);
+        let trace = tracer.borrow_mut().finish(&parent);
         // Children 0 and 2 share physical server 0: the trace's cell view
         // must stack exactly as the ledger did.
         assert_eq!(trace.cost.load, 2);
@@ -854,7 +854,7 @@ mod tests {
         let squares = c.par_run(3, |i| i * i);
         assert_eq!(squares, vec![0, 1, 4]);
         drop(_op);
-        let trace = tracer.borrow_mut().finish(&c, None);
+        let trace = tracer.borrow_mut().finish(&c);
         assert_eq!(trace.compute.len(), 1);
         assert_eq!(trace.compute[0].tasks, 3);
         assert_eq!(trace.compute[0].label, "map");

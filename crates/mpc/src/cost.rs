@@ -71,16 +71,6 @@ impl CostTracker {
         self.total_units
     }
 
-    /// Units received by `server` summed over all rounds (a per-server
-    /// footprint; useful for skew diagnostics).
-    pub fn server_total(&self, server: usize) -> u64 {
-        self.cells
-            .iter()
-            .filter(|((s, _), _)| *s == server)
-            .map(|(_, u)| *u)
-            .sum()
-    }
-
     /// Immutable summary of the run.
     pub fn report(&self) -> CostReport {
         CostReport {
@@ -245,7 +235,6 @@ mod tests {
         assert_eq!(t.max_load(), 8);
         assert_eq!(t.rounds_used(), 2);
         assert_eq!(t.total_units(), 17);
-        assert_eq!(t.server_total(0), 10);
     }
 
     #[test]

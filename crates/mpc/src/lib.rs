@@ -18,15 +18,18 @@
 //! * [`observe`] — the one seam everything else hangs off: a
 //!   [`RoundObserver`] installed with [`Cluster::observe`] is consulted
 //!   at every round boundary (`before_round` → deliver → ledger credit →
-//!   `delivered`) and around every local-compute span; the four modules
-//!   below are its implementations, composed in installation order and
-//!   free when none is installed,
-//! * [`trace`] — round-level execution tracing ([`trace::Tracer`]):
-//!   per-exchange traffic matrices, primitive/phase labels, and
-//!   wall-clock compute spans, with a JSON export,
-//! * [`metrics`] — aggregate metrics ([`metrics::MetricsLog`]): counters,
-//!   ledger gauges, log₂ histograms of per-primitive exchange volumes,
-//!   and the per-server received-load distribution (p50/p95/max/skew),
+//!   `delivered`) and around every local-compute span; the three
+//!   observers below ([`trace`], [`fault`], [`cancel`]) are its
+//!   implementations, composed in installation order and free when none
+//!   is installed,
+//! * [`trace`] — round-level execution tracing ([`trace::Tracer`], the
+//!   one recording observer): per-exchange traffic matrices,
+//!   primitive/phase labels, and wall-clock compute spans, with a JSON
+//!   export,
+//! * [`metrics`] — aggregate metrics as a fold over a finished trace
+//!   ([`Trace::metrics`]): counters, ledger gauges, log₂ histograms of
+//!   per-primitive exchange volumes, and the per-server received-load
+//!   distribution (p50/p95/max/skew),
 //! * [`fault`] — deterministic fault injection and recovery
 //!   ([`fault::FaultPlane`]): seeded crash-stop failures, message
 //!   drop/duplication/reordering, stragglers, and transient compute
@@ -95,7 +98,7 @@ pub use fault::{
     FaultKind, FaultPlan, FaultPlane, FaultSpec, RecoveryEvent, RecoveryKind, RecoveryReport,
     RetryPolicy,
 };
-pub use metrics::{LoadSummary, LogHistogram, MetricsLog, MetricsSnapshot};
+pub use metrics::{LoadSummary, LogHistogram, MetricsSnapshot};
 pub use observe::RoundObserver;
 pub use rng::DetRng;
 pub use trace::{CriticalCell, Trace, TraceBreakdown, TraceEvent, TraceReport, Tracer};

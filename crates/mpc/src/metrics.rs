@@ -1,24 +1,19 @@
-//! Lightweight metrics registry: counters, gauges, and log-scale
-//! histograms recorded alongside the cost ledger.
+//! Aggregate metrics: counters, gauges, and log-scale histograms, as a
+//! view of a finished [`Trace`].
 //!
 //! Where [`crate::trace`] keeps every event (full traffic matrices, one
-//! record per exchange), metrics keep *aggregates*: how many tuples each
-//! primitive moved in total, the distribution of per-event volumes on a
-//! log₂ scale, the per-server received-load footprint (with p50/p95/max
-//! and a skew ratio), and per-phase wall-clock. The registry is therefore
-//! cheap enough to leave on for large runs where a full trace would not
-//! fit in memory.
-//!
-//! Metrics are **off by default** (install a [`MetricsLog`] with
-//! [`crate::Cluster::observe`] to turn them on) and never perturb the
-//! ledger: the registry is shown the same per-destination received-vector
-//! the ledger was credited from, after the fact. Tests pin
-//! `(load, rounds, total_units)` across execution backends.
+//! record per exchange), a [`MetricsSnapshot`] keeps *aggregates*: how
+//! many tuples each primitive moved in total, the distribution of
+//! per-event volumes on a log₂ scale, the per-server received-load
+//! footprint (with p50/p95/max and a skew ratio), and per-phase
+//! wall-clock. There is no second recorder: [`Trace::metrics`] folds the
+//! one record the [`crate::trace::Tracer`] keeps, so the snapshot and the
+//! trace cannot disagree. Metrics therefore cost what a trace costs, and
+//! like tracing they never perturb the ledger.
 
 use crate::fault::RecoveryReport;
 use crate::json::Json;
-use crate::observe::{Delivery, EventKind, RoundCtx, RoundObserver};
-use crate::Cluster;
+use crate::trace::{EventKind, Trace};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -176,70 +171,36 @@ impl LoadSummary {
     }
 }
 
-/// The in-flight registry: install with [`crate::Cluster::observe`]
-/// before the run, [`MetricsLog::finish`] after it.
-#[derive(Debug, Default)]
-pub struct MetricsLog {
-    /// Physical-server dimension of `per_server`.
-    pub(crate) servers: usize,
-    /// Monotone event counters (`events.exchange`, `events.broadcast`,
-    /// `compute.spans`, `compute.tasks`, …).
-    pub(crate) counters: BTreeMap<String, u64>,
-    /// Log₂ distribution of per-event delivered units, keyed by the
-    /// operation-scope path that issued the event ("(unlabeled)" outside
-    /// any scope).
-    pub(crate) per_primitive: BTreeMap<String, LogHistogram>,
-    /// Log₂ distribution of per-event delivered units, all events.
-    pub(crate) event_units: LogHistogram,
-    /// Units received per physical server, summed over all rounds.
-    pub(crate) per_server: Vec<u64>,
-}
-
-impl MetricsLog {
-    /// A registry over `servers` physical servers (the top-level
-    /// cluster's `p`).
-    pub fn new(servers: usize) -> Self {
-        MetricsLog {
-            servers,
-            per_server: vec![0; servers],
-            ..MetricsLog::default()
+impl Trace {
+    /// The run's metrics, folded from this trace: `events.exchange` /
+    /// `events.broadcast` count events by kind, `compute.spans` /
+    /// `compute.tasks` count the compute spans, each event's unit sum
+    /// feeds the all-events histogram and the one of its label, the
+    /// gauges are [`Trace::cost`], and — when the run had a fault plane —
+    /// `recovery` adds the `fault.*` counters that fired (a counter
+    /// exists only once it is non-zero).
+    pub fn metrics(&self, recovery: Option<&RecoveryReport>) -> MetricsSnapshot {
+        let mut counters: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut per_primitive: BTreeMap<String, LogHistogram> = BTreeMap::new();
+        let mut event_units = LogHistogram::default();
+        for e in &self.events {
+            let counter = match e.kind {
+                EventKind::Exchange => "events.exchange",
+                EventKind::Broadcast => "events.broadcast",
+            };
+            *counters.entry(counter).or_default() += 1;
+            let units = e.received.iter().sum();
+            event_units.observe(units);
+            per_primitive
+                .entry(e.label.clone())
+                .or_default()
+                .observe(units);
         }
-    }
-
-    pub(crate) fn bump(&mut self, counter: &str, by: u64) {
-        *self.counters.entry(counter.to_string()).or_insert(0) += by;
-    }
-
-    /// Record one communication event: `received[s]` units arrived at
-    /// physical server `s`, issued under operation-scope `label`.
-    pub(crate) fn record_event(&mut self, counter: &str, label: &str, received: &[u64]) {
-        let units: u64 = received.iter().sum();
-        if units == 0 {
-            return;
+        if !self.compute.is_empty() {
+            counters.insert("compute.spans", self.compute.len() as u64);
+            let tasks = self.compute.iter().map(|c| c.tasks as u64).sum();
+            counters.insert("compute.tasks", tasks);
         }
-        self.bump(counter, 1);
-        self.event_units.observe(units);
-        self.per_primitive
-            .entry(label.to_string())
-            .or_default()
-            .observe(units);
-        for (s, &u) in received.iter().enumerate() {
-            if s < self.per_server.len() {
-                self.per_server[s] += u;
-            }
-        }
-    }
-
-    /// Hand back the finalized snapshot: the registry plus the ledger
-    /// gauges and phase wall-clocks of `cluster` sampled now, and the
-    /// `fault.*` counters of the run's fault plane, if one was installed
-    /// (only the ones that fired, as counters are created on first bump).
-    pub fn finish(
-        &mut self,
-        cluster: &Cluster,
-        recovery: Option<&RecoveryReport>,
-    ) -> MetricsSnapshot {
-        let mut log = std::mem::take(self);
         if let Some(r) = recovery {
             for (key, total) in [
                 ("fault.retries", r.retries),
@@ -250,60 +211,46 @@ impl MetricsLog {
                 ("fault.servers_lost", r.servers_lost.len() as u64),
             ] {
                 if total > 0 {
-                    log.bump(key, total);
+                    counters.insert(key, total);
                 }
             }
         }
-        let ledger = cluster.ledger();
-        let report = ledger.report();
-        let gauges = vec![
-            ("elapsed_ns".to_string(), report.elapsed.as_nanos() as f64),
-            ("load".to_string(), report.load as f64),
-            ("rounds".to_string(), report.rounds as f64),
-            ("total_units".to_string(), report.total_units as f64),
-        ];
+        let per_server = self.per_server();
         MetricsSnapshot {
-            servers: log.servers,
-            counters: log.counters.into_iter().collect(),
-            gauges,
-            per_primitive: log.per_primitive.into_iter().collect(),
-            event_units: log.event_units,
-            received: LoadSummary::of(&log.per_server),
-            per_server: log.per_server,
-            phase_wall: ledger
-                .phase_marks()
+            servers: self.servers,
+            counters: counters
                 .into_iter()
-                .map(|(_, label, wall)| (label, wall))
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+            gauges: vec![
+                ("elapsed_ns".into(), self.cost.elapsed.as_nanos() as f64),
+                ("load".into(), self.cost.load as f64),
+                ("rounds".into(), self.cost.rounds as f64),
+                ("total_units".into(), self.cost.total_units as f64),
+            ],
+            per_primitive: per_primitive.into_iter().collect(),
+            event_units,
+            received: LoadSummary::of(&per_server),
+            per_server,
+            phase_wall: self
+                .phases
+                .iter()
+                .zip(&self.phase_wall)
+                .map(|((_, label), &wall)| (label.clone(), wall))
                 .collect(),
         }
     }
 }
 
-impl RoundObserver for MetricsLog {
-    fn delivered(&mut self, ctx: &RoundCtx<'_>, d: &Delivery<'_>) {
-        let counter = match d.kind {
-            EventKind::Exchange => "events.exchange",
-            EventKind::Broadcast => "events.broadcast",
-        };
-        self.record_event(counter, ctx.label, d.received);
-    }
-
-    fn computed(&mut self, _: &RoundCtx<'_>, tasks: usize, _: Duration) {
-        self.bump("compute.spans", 1);
-        self.bump("compute.tasks", tasks as u64);
-    }
-}
-
-/// A finalized, immutable snapshot of the metrics registry (see
-/// [`MetricsLog::finish`]).
+/// A finalized, immutable metrics snapshot (see [`Trace::metrics`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct MetricsSnapshot {
     /// Physical server count.
     pub servers: usize,
     /// Monotone counters, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Point-in-time gauges sampled from the ledger at snapshot time
-    /// (`load`, `rounds`, `total_units`, `elapsed_ns`), sorted by name.
+    /// Ledger totals of the trace (`load`, `rounds`, `total_units`,
+    /// `elapsed_ns`), sorted by name.
     pub gauges: Vec<(String, f64)>,
     /// Per-primitive distributions of per-event delivered units.
     pub per_primitive: Vec<(String, LogHistogram)>,
@@ -490,20 +437,41 @@ mod tests {
 
     #[test]
     fn snapshot_json_roundtrips() {
-        let mut log = MetricsLog::new(2);
-        log.record_event("events.exchange", "sort", &[3, 5]);
-        log.record_event("events.exchange", "sort", &[0, 2]);
-        log.record_event("events.broadcast", "(unlabeled)", &[4, 4]);
-        let snap = MetricsSnapshot {
-            servers: log.servers,
-            counters: log.counters.clone().into_iter().collect(),
-            gauges: vec![("load".into(), 9.0)],
-            per_primitive: log.per_primitive.clone().into_iter().collect(),
-            event_units: log.event_units.clone(),
-            per_server: log.per_server.clone(),
-            received: LoadSummary::of(&log.per_server),
-            phase_wall: vec![("join".into(), Duration::from_nanos(1500))],
+        use crate::trace::{ComputeSpan, TraceEvent};
+        use crate::CostReport;
+        let event = |kind, label: &str, received: Vec<u64>| TraceEvent {
+            round: 0,
+            kind,
+            label: label.into(),
+            phase: "join".into(),
+            received,
+            traffic: Vec::new(),
+            at: Duration::ZERO,
         };
+        let trace = Trace {
+            servers: 2,
+            cost: CostReport {
+                load: 9,
+                rounds: 3,
+                total_units: 18,
+                elapsed: Duration::ZERO,
+            },
+            phases: vec![(0, "join".into())],
+            phase_wall: vec![Duration::from_nanos(1500)],
+            events: vec![
+                event(EventKind::Exchange, "sort", vec![3, 5]),
+                event(EventKind::Exchange, "sort", vec![0, 2]),
+                event(EventKind::Broadcast, "(unlabeled)", vec![4, 4]),
+            ],
+            compute: vec![ComputeSpan {
+                label: "sort".into(),
+                phase: "join".into(),
+                round: 0,
+                tasks: 2,
+                elapsed: Duration::ZERO,
+            }],
+        };
+        let snap = trace.metrics(None);
         let doc = Json::parse(&snap.to_json()).expect("valid json");
         assert_eq!(
             doc.get("schema").and_then(Json::as_str),
@@ -536,5 +504,14 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(11)
         );
+        let gauges = doc.get("gauges").unwrap();
+        assert_eq!(gauges.get("load").and_then(Json::as_u64), Some(9));
+        assert_eq!(
+            counters.get("compute.tasks").and_then(Json::as_u64),
+            Some(2)
+        );
+        let phases = doc.get("phases").and_then(Json::as_arr).unwrap();
+        assert_eq!(phases[0].get("label").and_then(Json::as_str), Some("join"));
+        assert_eq!(phases[0].get("wall_ns").and_then(Json::as_u64), Some(1500));
     }
 }

@@ -3,8 +3,9 @@
 //! §1.3 of the paper defines cost at exactly one place — what each
 //! server *receives* in each *round* — so the simulator has exactly one
 //! event worth observing. Everything that watches or perturbs a run
-//! (tracing, metrics, fault injection, cancellation) is a
-//! [`RoundObserver`] installed with [`crate::Cluster::observe`]; the
+//! (tracing, fault injection, cancellation) is a [`RoundObserver`]
+//! installed with [`crate::Cluster::observe`] — metrics are a fold over
+//! the trace, not an observer of their own; the
 //! cost ledger is the one mandatory client of the same event and is
 //! credited from the very vector the observers are shown:
 //!

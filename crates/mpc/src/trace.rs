@@ -17,7 +17,9 @@
 //! *and* every unit is attributable: the per-label and per-phase
 //! breakdowns of [`TraceReport`] sum to the ledger totals, and
 //! [`Trace::critical_round`] names the `(server, round, label)` cell that
-//! defines the load.
+//! defines the load. The [`Tracer`] is the one recording observer: the
+//! aggregate metrics of [`crate::metrics`] are a fold over its [`Trace`]
+//! ([`Trace::metrics`]), not a second record.
 //!
 //! ## Labeling contract
 //!
@@ -130,21 +132,21 @@ impl Tracer {
     }
 
     /// Hand back the finalized [`Trace`]: the recorded events plus the
-    /// ledger totals and phase marks of `cluster` as of now, and the
-    /// recovery events of the run's fault plane, if one was installed.
-    pub fn finish(&mut self, cluster: &Cluster, recovery: Option<&RecoveryReport>) -> Trace {
+    /// ledger totals and phase marks of `cluster` as of now.
+    pub fn finish(&mut self, cluster: &Cluster) -> Trace {
         let ledger = cluster.ledger();
+        let (phases, phase_wall) = ledger
+            .phase_marks()
+            .into_iter()
+            .map(|(round, label, wall)| ((round, label), wall))
+            .unzip();
         Trace {
             servers: self.servers,
             cost: ledger.report(),
-            phases: ledger
-                .phase_marks()
-                .into_iter()
-                .map(|(round, label, _)| (round, label))
-                .collect(),
+            phases,
+            phase_wall,
             events: std::mem::take(&mut self.events),
             compute: std::mem::take(&mut self.compute),
-            recovery: recovery.map_or_else(Vec::new, |r| r.events.clone()),
         }
     }
 }
@@ -184,8 +186,9 @@ impl RoundObserver for Tracer {
     }
 }
 
-/// A finalized execution trace (see [`Tracer::finish`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A finalized execution trace (see [`Tracer::finish`]). Equality
+/// ignores the wall-clock members, as [`TraceEvent`]'s does.
+#[derive(Clone, Debug)]
 pub struct Trace {
     /// Number of physical servers (the dimension of `received` vectors
     /// and `traffic` matrices).
@@ -195,16 +198,27 @@ pub struct Trace {
     pub cost: CostReport,
     /// Phase marks: `(first round of the phase, label)`.
     pub phases: Vec<(u64, String)>,
+    /// Wall clock spent in each of `phases` (index-aligned), up to the
+    /// next mark or to finalization — instrumentation only, excluded
+    /// from equality.
+    pub phase_wall: Vec<Duration>,
     /// Every costed communication step, in simulation order.
     pub events: Vec<TraceEvent>,
     /// Wall-clock spans of backend-executed local computation.
     pub compute: Vec<ComputeSpan>,
-    /// Recovery actions taken by an installed fault plane, in simulation
-    /// order, attributed to the phase/label active when they happened
-    /// (empty when no plane was installed — the common case). See
-    /// [`crate::fault`].
-    pub recovery: Vec<RecoveryEvent>,
 }
+
+impl PartialEq for Trace {
+    fn eq(&self, other: &Self) -> bool {
+        self.servers == other.servers
+            && self.cost == other.cost
+            && self.phases == other.phases
+            && self.events == other.events
+            && self.compute == other.compute
+    }
+}
+
+impl Eq for Trace {}
 
 /// Per-label (or per-phase) slice of a trace.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -384,37 +398,26 @@ impl Trace {
     }
 
     /// Serialize the full trace (events, compute spans, phases, and the
-    /// structured report) as a self-contained JSON document
-    /// (schema `mpcjoin-trace-v3`; the `audit` and `recovery_report`
-    /// members are `null`).
-    pub fn to_json(&self) -> String {
-        self.to_json_with(None, None)
-    }
-
-    /// [`Trace::to_json`] with optional `audit` and `recovery_report`
-    /// members: callers that know the theoretical bound of the plan that
-    /// ran (see `mpcjoin::core::audit`) attach its verdict, and callers
-    /// that ran under a fault plane attach the aggregated
-    /// [`RecoveryReport`], so the exported document is self-contained for
-    /// both bound-violation and recovery triage.
+    /// structured report) as a self-contained JSON document (schema
+    /// `mpcjoin-trace-v3`). Each argument fills one member, `null` when
+    /// absent:
+    ///
+    /// * `audit` — the bound-audit verdict of the plan that ran (see
+    ///   `mpcjoin::core::audit`), for bound-violation triage;
+    /// * `recovery` — the run's [`RecoveryReport`] under a fault plane,
+    ///   written as `recovery_report`, with its events also listed as the
+    ///   top-level `recovery` array (empty without a report);
+    /// * `request` — the serving layer's `{rid, id, session}` tag, which
+    ///   links a per-query artifact to the request-scoped span in the
+    ///   operational log (`mpcjoin-log-v1`); readers (including
+    ///   [`validate`]) ignore it.
     ///
     /// Schema history: `mpcjoin-trace-v1` lacked the `audit` member;
     /// `mpcjoin-trace-v2` added it (possibly `null`); `mpcjoin-trace-v3`
-    /// adds the per-event `recovery` array and the `recovery_report`
-    /// member (possibly `null`). No producer has written the older tags
-    /// since the fault plane landed, and [`validate`] refuses them.
-    pub fn to_json_with(&self, audit: Option<&Json>, recovery: Option<&RecoveryReport>) -> String {
-        self.to_json_tagged(audit, recovery, None)
-    }
-
-    /// [`Trace::to_json_with`] plus an optional `request` member: the
-    /// serving layer attaches `{rid, id, session}` here so a per-query
-    /// trace artifact links back to the request-scoped span in the
-    /// operational log (`mpcjoin-log-v1`) that produced it — the span's
-    /// `engine_ns` wall-clock envelopes exactly these round events.
-    /// `request` is `null` for library/CLI callers; readers (including
-    /// [`validate`]) ignore it.
-    pub fn to_json_tagged(
+    /// adds the `recovery` array and the `recovery_report` member
+    /// (possibly `null`). No producer has written the older tags since
+    /// the fault plane landed, and [`validate`] refuses them.
+    pub fn to_json(
         &self,
         audit: Option<&Json>,
         recovery: Option<&RecoveryReport>,
@@ -501,7 +504,9 @@ impl Trace {
             ),
             (
                 "recovery".into(),
-                Json::Arr(self.recovery.iter().map(RecoveryEvent::to_json).collect()),
+                Json::Arr(recovery.map_or_else(Vec::new, |r| {
+                    r.events.iter().map(RecoveryEvent::to_json).collect()
+                })),
             ),
             ("servers".into(), Json::Num(self.servers as f64)),
             ("load".into(), Json::Num(self.cost.load as f64)),
@@ -555,7 +560,7 @@ impl Trace {
 /// [`validate`] accepts.
 pub const TRACE_SCHEMA: &str = "mpcjoin-trace-v3";
 
-/// Re-derive an exported trace document ([`Trace::to_json_tagged`])
+/// Re-derive an exported trace document ([`Trace::to_json`])
 /// from its raw events and check it tells one story: the library half
 /// of `mpcjoin-check trace`, kept beside the exporter so the two cannot
 /// drift.
@@ -824,6 +829,7 @@ mod tests {
                 elapsed: Duration::ZERO,
             },
             phases: vec![(0, "build".into()), (1, "probe".into())],
+            phase_wall: vec![Duration::from_nanos(700), Duration::from_nanos(300)],
             events: vec![
                 event(0, "sort", "build", vec![vec![0, 3], vec![2, 0]]),
                 event(0, "scan", "build", vec![vec![0, 4], vec![0, 0]]),
@@ -836,7 +842,6 @@ mod tests {
                 tasks: 2,
                 elapsed: Duration::from_nanos(500),
             }],
-            recovery: Vec::new(),
         }
     }
 
@@ -878,7 +883,7 @@ mod tests {
     #[test]
     fn json_roundtrip_preserves_totals() {
         let t = two_label_trace();
-        let doc = crate::json::Json::parse(&t.to_json()).expect("valid json");
+        let doc = crate::json::Json::parse(&t.to_json(None, None, None)).expect("valid json");
         assert_eq!(doc.get("load").and_then(crate::json::Json::as_u64), Some(7));
         assert_eq!(
             doc.get("total_units").and_then(crate::json::Json::as_u64),
@@ -904,7 +909,7 @@ mod tests {
     #[test]
     fn json_schema_is_v3_with_audit_and_recovery_slots() {
         let t = two_label_trace();
-        let doc = Json::parse(&t.to_json()).unwrap();
+        let doc = Json::parse(&t.to_json(None, None, None)).unwrap();
         assert_eq!(
             doc.get("schema").and_then(Json::as_str),
             Some("mpcjoin-trace-v3")
@@ -918,7 +923,7 @@ mod tests {
             Some(0)
         );
         let audit = Json::Obj(vec![("within".into(), Json::Bool(true))]);
-        let doc2 = Json::parse(&t.to_json_with(Some(&audit), None)).unwrap();
+        let doc2 = Json::parse(&t.to_json(Some(&audit), None, None)).unwrap();
         assert_eq!(
             doc2.get("audit").and_then(|a| a.get("within")),
             Some(&Json::Bool(true))
@@ -928,26 +933,25 @@ mod tests {
     #[test]
     fn json_embeds_recovery_events_and_report() {
         use crate::fault::{RecoveryKind, RecoveryReport};
-        let mut t = two_label_trace();
-        t.recovery.push(RecoveryEvent {
-            round: 1,
-            attempt: 1,
-            kind: RecoveryKind::Retransmit,
-            phase: "probe".into(),
-            label: "join".into(),
-            server: None,
-            units: 4,
-            delay: Duration::from_micros(10),
-        });
+        let t = two_label_trace();
         let report = RecoveryReport {
             faults_injected: 1,
             retries: 1,
             messages_dropped: 4,
             retransmitted_units: 4,
-            events: t.recovery.clone(),
+            events: vec![RecoveryEvent {
+                round: 1,
+                attempt: 1,
+                kind: RecoveryKind::Retransmit,
+                phase: "probe".into(),
+                label: "join".into(),
+                server: None,
+                units: 4,
+                delay: Duration::from_micros(10),
+            }],
             ..RecoveryReport::default()
         };
-        let doc = Json::parse(&t.to_json_with(None, Some(&report))).unwrap();
+        let doc = Json::parse(&t.to_json(None, Some(&report), None)).unwrap();
         let events = doc.get("recovery").and_then(Json::as_arr).unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(
@@ -964,7 +968,7 @@ mod tests {
     fn non_finite_audit_guest_is_sanitized_not_fatal() {
         let t = two_label_trace();
         let audit = Json::Obj(vec![("ratio".into(), Json::Num(f64::NAN))]);
-        let doc = Json::parse(&t.to_json_with(Some(&audit), None)).unwrap();
+        let doc = Json::parse(&t.to_json(Some(&audit), None, None)).unwrap();
         assert_eq!(
             doc.get("audit").and_then(|a| a.get("ratio")),
             Some(&Json::Null)
@@ -977,6 +981,8 @@ mod tests {
         let mut b = two_label_trace();
         b.events[0].at = Duration::from_secs(5);
         b.compute[0].elapsed = Duration::from_secs(5);
+        b.phase_wall[1] = Duration::from_secs(5);
+        b.cost.elapsed = Duration::from_secs(5);
         assert_eq!(a, b);
     }
 
@@ -1001,7 +1007,7 @@ mod tests {
     #[test]
     fn validate_accepts_its_own_export_and_sizes_nothing_from_a_bare_number() {
         let t = two_label_trace();
-        let msg = validate(&t.to_json()).expect("exporter and validator agree");
+        let msg = validate(&t.to_json(None, None, None)).expect("exporter and validator agree");
         assert!(msg.contains("2 servers, 3 events, load 7"), "{msg}");
         // A huge `servers` with a short histogram is a message, not an
         // allocation.

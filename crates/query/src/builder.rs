@@ -2,7 +2,8 @@
 //!
 //! Algorithms work with interned [`Attr`] ids; applications usually think
 //! in attribute names. [`QueryBuilder`] interns names on first use,
-//! validates on [`QueryBuilder::build`], and keeps the name table around
+//! validates on [`QueryBuilder::build`] (an `Err`, never a panic, since
+//! names usually come from user input), and keeps the name table around
 //! for rendering results and DOT diagrams.
 
 use crate::tree::{Edge, TreeQuery};
@@ -20,9 +21,18 @@ use std::fmt::Write as _;
 ///     .relation("supplier", "part")
 ///     .relation("warehouse", "part")
 ///     .output(["supplier", "warehouse"])
-///     .build();
+///     .build()
+///     .expect("a tree");
 /// assert_eq!(q.edges().len(), 2);
 /// assert_eq!(names.attr("part").map(|a| q.is_output(a)), Some(false));
+///
+/// // A cycle is an error, not a panic.
+/// let cyclic = QueryBuilder::new()
+///     .relation("a", "b")
+///     .relation("b", "a")
+///     .output(["a"])
+///     .build();
+/// assert!(cyclic.unwrap_err().contains("parallel edges"));
 /// ```
 #[derive(Default)]
 pub struct QueryBuilder {
@@ -81,7 +91,7 @@ impl QueryBuilder {
     /// Add a binary relation over the named attributes.
     pub fn relation(mut self, x: &str, y: &str) -> Self {
         let (ax, ay) = (self.intern(x), self.intern(y));
-        self.edges.push(Edge::binary(ax, ay));
+        self.edges.push(Edge::pair(ax, ay));
         self
     }
 
@@ -98,18 +108,15 @@ impl QueryBuilder {
         self
     }
 
-    /// Validate and build the query plus its name table. Panics exactly
-    /// when [`TreeQuery::new`] would (malformed query = programming
-    /// error).
-    pub fn build(self) -> (TreeQuery, AttrNames) {
-        let q = TreeQuery::new(self.edges, self.output);
-        (
-            q,
-            AttrNames {
-                names: self.names,
-                index: self.index,
-            },
-        )
+    /// Validate and build the query plus its name table; errs with the
+    /// message of [`TreeQuery::try_new`] on a malformed query.
+    pub fn build(self) -> Result<(TreeQuery, AttrNames), String> {
+        let q = TreeQuery::try_new(self.edges, self.output)?;
+        let names = AttrNames {
+            names: self.names,
+            index: self.index,
+        };
+        Ok((q, names))
     }
 }
 
@@ -203,7 +210,8 @@ mod tests {
             .relation("a", "b")
             .relation("b", "c")
             .output(["a", "c"])
-            .build();
+            .build()
+            .unwrap();
         assert!(matches!(classify(&q), Shape::MatMul { .. }));
         assert_eq!(names.name(names.attr("b").unwrap()), "b");
         assert_eq!(names.len(), 3);
@@ -216,7 +224,8 @@ mod tests {
             .relation("y", "z")
             .relation("z", "w")
             .output(["x", "w"])
-            .build();
+            .build()
+            .unwrap();
         assert_eq!(q.edges().len(), 3);
         // "y" interned once despite two mentions.
         assert_eq!(names.len(), 4);
@@ -228,7 +237,8 @@ mod tests {
             .relation("src", "mid")
             .relation("mid", "dst")
             .output(["src", "dst"])
-            .build();
+            .build()
+            .unwrap();
         let dot = to_dot(&q, Some(&names));
         assert!(dot.contains("\"src\" [shape=doublecircle]"));
         assert!(dot.contains("\"src\" -- \"mid\" [label=\"R0\"]"));
@@ -237,13 +247,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "spanning tree")]
     fn builder_validates() {
-        let _ = QueryBuilder::new()
+        let err = QueryBuilder::new()
             .relation("a", "b")
             .relation("b", "c")
             .relation("c", "a")
             .output(["a"])
-            .build();
+            .build()
+            .unwrap_err();
+        assert!(err.contains("spanning tree"), "{err}");
     }
 }

@@ -89,8 +89,7 @@ fn offset_in(text: &str, part: &str) -> usize {
 /// Parse `Head(outputs…) :- Atom(attrs…), …` into a validated query.
 ///
 /// Structural validation (tree shape, known outputs) is delegated to
-/// [`TreeQuery::new`] but surfaced as a [`ParseError`] instead of a
-/// panic, since surface-syntax input is user data.
+/// [`TreeQuery::try_new`], whose message becomes the [`ParseError`]'s.
 ///
 /// ```
 /// use mpcjoin_query::{classify, parse_query, Shape};
@@ -148,16 +147,10 @@ pub fn parse_query(text: &str) -> Result<ParsedQuery, ParseError> {
         return err("query body has no relations");
     }
 
-    let builder = builder.output(outputs.iter().map(String::as_str));
-    let (query, names) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| builder.build()))
-        .map_err(|panic| {
-            let msg = panic
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "invalid query structure".to_string());
-            ParseError::new(msg, None, None)
-        })?;
+    let (query, names) = builder
+        .output(outputs.iter().map(String::as_str))
+        .build()
+        .map_err(|msg| ParseError::new(msg, None, None))?;
     Ok(ParsedQuery {
         query,
         names,
@@ -300,6 +293,14 @@ mod tests {
     fn rejects_cyclic_queries() {
         let e = parse_query("Q(a) :- R(a, b), S(b, c), T(c, a)").unwrap_err();
         assert!(e.to_string().contains("spanning tree"), "{e}");
+    }
+
+    #[test]
+    fn rejects_parallel_edges_and_self_loops() {
+        let e = parse_query("Q(a) :- R(a, b), S(a, b)").unwrap_err();
+        assert!(e.to_string().contains("parallel edges"), "{e}");
+        let e = parse_query("Q(a) :- R(a, a)").unwrap_err();
+        assert!(e.to_string().contains("self-loop"), "{e}");
     }
 
     #[test]

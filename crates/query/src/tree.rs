@@ -17,6 +17,12 @@ impl Edge {
     /// A binary edge `R(a, b)`.
     pub fn binary(a: Attr, b: Attr) -> Self {
         assert_ne!(a, b, "self-loop edge R({a}, {a}) is not a tree edge");
+        Self::pair(a, b)
+    }
+
+    /// A binary edge over user input: a self-loop is left for
+    /// [`TreeQuery::try_new`] to reject instead of panicking here.
+    pub(crate) fn pair(a: Attr, b: Attr) -> Self {
         Edge { attrs: vec![a, b] }
     }
 
@@ -64,55 +70,70 @@ pub struct TreeQuery {
 }
 
 impl TreeQuery {
-    /// Build and validate a tree query.
-    ///
-    /// Panics (with a description) if the binary edges do not form a tree
-    /// over the attribute set, if an edge is duplicated, if a unary edge
-    /// mentions an attribute no binary edge touches (and the query has more
-    /// than one edge), or if `output` mentions unknown attributes. A
-    /// malformed query is a programming error, not a data condition.
+    /// Build and validate a tree query; panics with the message
+    /// [`TreeQuery::try_new`] would return. For queries the program
+    /// itself constructs, where a malformed one is a programming error.
     pub fn new(edges: Vec<Edge>, output: impl IntoIterator<Item = Attr>) -> Self {
-        assert!(!edges.is_empty(), "a query needs at least one relation");
+        Self::try_new(edges, output).unwrap_or_else(|msg| panic!("{msg}"))
+    }
+
+    /// Build and validate a tree query from user input.
+    ///
+    /// Errs (with a description) if the binary edges do not form a tree
+    /// over the attribute set, if an edge is duplicated or a self-loop,
+    /// if a unary edge mentions an attribute no binary edge touches (and
+    /// the query has more than one edge), or if `output` mentions unknown
+    /// attributes.
+    pub fn try_new(
+        edges: Vec<Edge>,
+        output: impl IntoIterator<Item = Attr>,
+    ) -> Result<Self, String> {
+        if edges.is_empty() {
+            return Err("a query needs at least one relation".into());
+        }
         let output: BTreeSet<Attr> = output.into_iter().collect();
 
-        // No duplicate edges (a duplicate binary edge is a 2-cycle).
+        // No self-loops, no duplicate edges (a duplicate binary edge is a
+        // 2-cycle).
         let mut seen: HashSet<Vec<Attr>> = HashSet::new();
         for e in &edges {
+            if let [a, b] = e.attrs() {
+                if a == b {
+                    return Err(format!("self-loop edge R({a}, {a}) is not a tree edge"));
+                }
+            }
             let mut key = e.attrs().to_vec();
             key.sort();
-            assert!(
-                seen.insert(key),
-                "duplicate relation over {:?}; a tree has no parallel edges",
-                e.attrs()
-            );
+            if !seen.insert(key) {
+                return Err(format!(
+                    "duplicate relation over {:?}; a tree has no parallel edges",
+                    e.attrs()
+                ));
+            }
         }
 
         let q = TreeQuery { edges, output };
         let attrs = q.attrs();
-        for a in &q.output {
-            assert!(
-                attrs.contains(a),
-                "output attribute {a} not in any relation"
-            );
+        if let Some(a) = q.output.iter().find(|a| !attrs.contains(a)) {
+            return Err(format!("output attribute {a} not in any relation"));
         }
 
         // Binary edges must form a tree spanning every attribute (except
         // the trivial single-unary-edge query).
         let binary: Vec<&Edge> = q.edges.iter().filter(|e| e.is_binary()).collect();
         if binary.is_empty() {
-            assert!(
-                q.edges.len() == 1,
-                "multiple unary relations do not form a connected tree"
-            );
-            return q;
+            if q.edges.len() != 1 {
+                return Err("multiple unary relations do not form a connected tree".into());
+            }
+            return Ok(q);
         }
-        assert_eq!(
-            binary.len() + 1,
-            attrs.len(),
-            "binary edges must form a spanning tree: {} edges over {} attributes",
-            binary.len(),
-            attrs.len()
-        );
+        if binary.len() + 1 != attrs.len() {
+            return Err(format!(
+                "binary edges must form a spanning tree: {} edges over {} attributes",
+                binary.len(),
+                attrs.len()
+            ));
+        }
         // Connectivity check by BFS over binary edges.
         let adj = q.adjacency();
         let start = *attrs.iter().next().expect("non-empty");
@@ -130,12 +151,10 @@ impl TreeQuery {
                 }
             }
         }
-        assert_eq!(
-            visited.len(),
-            attrs.len(),
-            "query hypergraph is disconnected"
-        );
-        q
+        if visited.len() != attrs.len() {
+            return Err("query hypergraph is disconnected".into());
+        }
+        Ok(q)
     }
 
     /// The relations (edges), in index order.
@@ -328,6 +347,31 @@ mod tests {
     #[should_panic(expected = "not in any relation")]
     fn rejects_unknown_output() {
         let _ = TreeQuery::new(vec![Edge::binary(A, B)], [D]);
+    }
+
+    #[test]
+    fn try_new_reports_what_new_panics_on() {
+        for (edges, output, expected) in [
+            (vec![], vec![A], "at least one relation"),
+            (vec![Edge::pair(A, A)], vec![A], "self-loop"),
+            (
+                vec![Edge::unary(A), Edge::unary(B)],
+                vec![A],
+                "unary relations",
+            ),
+            (
+                vec![Edge::binary(A, B), Edge::binary(B, C), Edge::binary(C, A)],
+                vec![A],
+                "spanning tree",
+            ),
+        ] {
+            let err = TreeQuery::try_new(edges, output).unwrap_err();
+            assert!(err.contains(expected), "{err}");
+        }
+        assert_eq!(
+            TreeQuery::try_new(vec![Edge::binary(A, B), Edge::binary(B, C)], [A, C]),
+            Ok(matmul_query())
+        );
     }
 
     #[test]

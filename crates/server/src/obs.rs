@@ -13,8 +13,8 @@
 //!   trip through the stack is measured as per-phase wall-clock spans
 //!   ([`RequestSpans`]: queue wait, cache lookup, engine rounds,
 //!   serialization, total). Per-query trace artifacts are tagged with
-//!   the rid (`Trace::to_json_tagged`), linking the span to the
-//!   `mpcjoin-trace-v3` round events it envelopes.
+//!   the rid (the `request` member of `Trace::to_json`), linking the
+//!   span to the `mpcjoin-trace-v3` round events it envelopes.
 //! * **Windowed server metrics.** Log₂-bucket latency histograms per
 //!   phase and per plan-kind, monotone counters (per frame kind,
 //!   semiring, error code, rejection reason), and point-in-time gauges
@@ -721,29 +721,6 @@ impl StatsView {
     pub fn counter(&self, name: &str) -> u64 {
         self.num(&["counters", name]).unwrap_or(0)
     }
-
-    /// Bucket-estimated latency quantile of `phase`, in nanoseconds.
-    pub fn latency_quantile(&self, phase: &str, q: f64) -> Option<u64> {
-        let h = self.doc.get("latency")?.get(phase)?;
-        let count = h.get("count")?.as_u64()?;
-        if count == 0 {
-            return Some(0);
-        }
-        let max = h.get("max")?.as_u64()?;
-        let rank = (q.clamp(0.0, 1.0) * count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for bucket in h.get("buckets")?.as_arr()? {
-            let triple = bucket.as_arr()?;
-            if triple.len() != 3 {
-                return None;
-            }
-            seen += triple[2].as_u64()?;
-            if seen >= rank {
-                return Some((triple[1].as_u64()?.saturating_sub(1)).min(max));
-            }
-        }
-        Some(max)
-    }
 }
 
 /// Event-count summary of a validated operational log.
@@ -1274,9 +1251,6 @@ mod tests {
         assert_eq!(view.num(&["queue_depth"]), Some(1));
         assert_eq!(view.counter("frames.query"), 3);
         assert_eq!(view.counter("missing"), 0);
-        let p50 = view.latency_quantile("total", 0.5).unwrap();
-        assert!((130..256).contains(&p50), "{p50}");
-        assert_eq!(view.latency_quantile("queue", 1.0), Some(10));
     }
 
     #[test]

@@ -410,7 +410,6 @@ impl Executor {
             .threads(self.threads_per_job)
             .plan(choice)
             .trace(instrumented)
-            .metrics(instrumented)
     }
 
     /// Flush one per-request artifact (`doc` is only rendered when an
@@ -552,18 +551,18 @@ impl SemiringVisitor for Scope<'_, QueryRequest> {
 
         // Traces carry the request tag (`rid`/`id`/`session`), linking
         // the artifact's `mpcjoin-trace-v3` round events to the span +
-        // log plane.
+        // log plane; the metrics artifact is a fold over the same trace.
         if let Some(trace) = &result.trace {
             ex.write_artifact("trace", tag, || {
-                trace.to_json_tagged(
+                trace.to_json(
                     Some(&result.audit.to_json()),
                     result.recovery.as_ref(),
                     Some(&tag.to_json()),
                 )
             });
-        }
-        if let Some(snap) = &result.metrics {
-            ex.write_artifact("metrics", tag, || snap.to_json());
+            ex.write_artifact("metrics", tag, || {
+                trace.metrics(result.recovery.as_ref()).to_json()
+            });
         }
         let serialize_started = Instant::now();
         let body = canonical_body(&result, req.limit);

@@ -59,7 +59,7 @@ fn a_valid_trace_and_the_committed_server_baseline_pass() {
     let path = dir.join("trace.json");
     std::fs::write(
         &path,
-        trace.to_json_with(Some(&result.audit.to_json()), None),
+        trace.to_json(Some(&result.audit.to_json()), None, None),
     )
     .unwrap();
     let out = check(&["trace", path.to_str().unwrap()]);

@@ -20,12 +20,11 @@ fn mm_query() -> TreeQuery {
 /// an audit verdict, and return the plain run.
 fn run_all_ways(p: usize, q: &TreeQuery, rels: &[Relation<Count>]) -> ExecutionResult<Count> {
     let plain = QueryEngine::new(p).run(q, rels).expect("valid instance");
-    assert!(plain.trace.is_none() && plain.metrics.is_none());
+    assert!(plain.trace.is_none());
     for threads in [1usize, 4] {
         let instrumented = QueryEngine::new(p)
             .threads(threads)
             .trace(true)
-            .metrics(true)
             .run(q, rels)
             .expect("valid instance");
         assert_eq!(
@@ -34,7 +33,7 @@ fn run_all_ways(p: usize, q: &TreeQuery, rels: &[Relation<Count>]) -> ExecutionR
         );
         assert!(plain.output.semantically_eq(&instrumented.output));
         assert_eq!(instrumented.audit, plain.audit, "{threads} threads");
-        let snap = instrumented.metrics.expect("metrics were on");
+        let snap = instrumented.trace.expect("tracing was on").metrics(None);
         assert_eq!(
             snap.per_server.iter().sum::<u64>(),
             plain.cost.total_units,

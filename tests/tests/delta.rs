@@ -196,8 +196,8 @@ fn every_plan_semiring_thread_combo_stays_bit_identical() {
 }
 
 /// Threading is invisible: serial and 3-thread engines produce the same
-/// outputs *and the same ledgers* for the same batch, with trace and
-/// metrics collection on or off.
+/// outputs *and the same ledgers* for the same batch, with tracing on
+/// or off.
 #[test]
 fn threading_trace_and_metrics_leave_outputs_and_ledgers_unchanged() {
     let (q, inst) = shape_for(PlanKind::MatMul, 0xAB);
@@ -207,7 +207,7 @@ fn threading_trace_and_metrics_leave_outputs_and_ledgers_unchanged() {
     for engine in [
         QueryEngine::new(P),
         QueryEngine::new(P).threads(3),
-        QueryEngine::new(P).threads(3).trace(true).metrics(true),
+        QueryEngine::new(P).threads(3).trace(true),
     ] {
         let mut view = MaterializedView::new(&q, &inst, PlanKind::MatMul).unwrap();
         let outcome = engine.apply_delta(&mut view, &batch).unwrap();

@@ -7,9 +7,9 @@
 //! state leaks from one `run` to the next through the engine value.
 //!
 //! The audit of the engine confirms this *by construction*: `QueryEngine`
-//! holds only configuration (`p`, threads, trace/metrics flags, plan
-//! choice, fault plan) and `run` builds a fresh `Cluster` — ledger, RNG
-//! state, fault plane, metrics — per call (`crates/core/src/planner.rs`).
+//! holds only configuration (`p`, threads, trace flag, plan choice,
+//! fault plan) and `run` builds a fresh `Cluster` — ledger, RNG state,
+//! fault plane, tracer — per call (`crates/core/src/planner.rs`).
 //! These tests pin the property behaviorally so a future cached or
 //! memoized field cannot silently break it: a reused engine's outputs
 //! and exact cost ledgers must be bit-identical to fresh-engine runs,

@@ -169,16 +169,11 @@ fn an_installed_but_silent_plan_is_fully_invisible() {
     // thread counts. This pins "compiled in but disabled costs nothing".
     let (_, q, rels) = workloads::<Count>().swap_remove(0);
     let silent = FaultPlan::new(3).drop_window(10_000, 10_001, 1.0);
-    let clean = QueryEngine::new(8)
-        .trace(true)
-        .metrics(true)
-        .run(&q, &rels)
-        .unwrap();
+    let clean = QueryEngine::new(8).trace(true).run(&q, &rels).unwrap();
     for threads in [1usize, 4] {
         let armed = QueryEngine::new(8)
             .threads(threads)
             .trace(true)
-            .metrics(true)
             .faults(silent.clone())
             .run(&q, &rels)
             .unwrap();
@@ -186,13 +181,10 @@ fn an_installed_but_silent_plan_is_fully_invisible() {
         let (ct, at) = (clean.trace.as_ref().unwrap(), armed.trace.as_ref().unwrap());
         assert_eq!(ct.events, at.events, "{threads} threads");
         assert_eq!(ct.phases, at.phases, "{threads} threads");
-        assert!(at.recovery.is_empty(), "silent plan records no events");
-        let report = armed.recovery.expect("plan installed");
+        let report = armed.recovery.as_ref().expect("plan installed");
+        assert!(report.events.is_empty(), "silent plan records no events");
         assert!(report.is_clean(), "{report}");
-        let (cm, am) = (
-            clean.metrics.as_ref().unwrap(),
-            armed.metrics.as_ref().unwrap(),
-        );
+        let (cm, am) = (ct.metrics(None), at.metrics(Some(report)));
         assert_eq!(cm.per_server, am.per_server, "{threads} threads");
         assert_eq!(cm.per_primitive, am.per_primitive, "{threads} threads");
         assert!(
@@ -296,8 +288,12 @@ fn recovered_runs_export_a_v3_trace_with_the_story_embedded() {
         .run(&q, &rels)
         .unwrap();
     let trace = r.trace.as_ref().unwrap();
-    assert!(!trace.recovery.is_empty(), "a fired schedule leaves events");
-    let text = trace.to_json_with(Some(&r.audit.to_json()), r.recovery.as_ref());
+    let recovery = r.recovery.as_ref().expect("fault plan installed");
+    assert!(
+        !recovery.events.is_empty(),
+        "a fired schedule leaves events"
+    );
+    let text = trace.to_json(Some(&r.audit.to_json()), Some(recovery), None);
     let summary = mpcjoin::mpc::trace::validate(&text).expect("the faulted export validates");
     assert!(summary.contains("recovery ok"), "{summary}");
     let doc = Json::parse(&text).expect("valid JSON");
@@ -306,7 +302,7 @@ fn recovered_runs_export_a_v3_trace_with_the_story_embedded() {
         Some("mpcjoin-trace-v3")
     );
     let events = doc.get("recovery").and_then(Json::as_arr).unwrap();
-    assert_eq!(events.len(), trace.recovery.len());
+    assert_eq!(events.len(), recovery.events.len());
     let report = doc.get("recovery_report").expect("report member");
     assert_eq!(
         report.get("schema").and_then(Json::as_str),
@@ -317,10 +313,10 @@ fn recovered_runs_export_a_v3_trace_with_the_story_embedded() {
 
 #[test]
 fn all_observers_composed_stay_invisible_for_every_plan() {
-    // Trace + metrics + a recoverable fault plan + a never-firing cancel
-    // token installed *together*, against a bare run: the seam composes
-    // them in one place, and none of them may leak into output or
-    // ledger — or disagree with each other about what happened.
+    // Tracer + a recoverable fault plan + a never-firing cancel token
+    // installed *together*, against a bare run: the seam composes them
+    // in one place, and none of them may leak into output or ledger —
+    // or disagree with the ledger or each other about what happened.
     let mut cases = workloads::<Count>();
     let (_, line, line_rels) = cases[2].clone();
     cases.push((PlanKind::CanonicalEdgeCover, line, line_rels));
@@ -333,7 +329,6 @@ fn all_observers_composed_stay_invisible_for_every_plan() {
             let bare = engine.clone().run(&q, &rels).expect("valid instance");
             let full = engine
                 .trace(true)
-                .metrics(true)
                 .faults(mixed_plan(60 + i as u64))
                 .cancel(CancelToken::new())
                 .run(&q, &rels)
@@ -344,13 +339,16 @@ fn all_observers_composed_stay_invisible_for_every_plan() {
             assert_eq!(bare.output.canonical(), full.output.canonical(), "{what}");
 
             let trace = full.trace.as_ref().expect("trace requested");
-            let metrics = full.metrics.as_ref().expect("metrics requested");
             let recovery = full.recovery.as_ref().expect("fault plan installed");
+            let metrics = trace.metrics(Some(recovery));
             assert!(recovery.recovered(), "{what}: {recovery}");
             assert!(recovery.faults_injected > 0, "{what}: schedule fired");
             assert_eq!(trace.cost, full.cost, "{what}");
-            assert_eq!(trace.per_server(), metrics.per_server, "{what}");
-            assert_eq!(trace.recovery, recovery.events, "{what}");
+            assert_eq!(
+                metrics.per_server.iter().sum::<u64>(),
+                full.cost.total_units,
+                "{what}"
+            );
             let counter = |name: &str| {
                 metrics
                     .counters

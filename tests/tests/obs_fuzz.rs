@@ -187,7 +187,6 @@ fn stats_payload_round_trips_and_survives_truncation() {
     let view = StatsView::parse(&text).expect("real payload parses");
     assert_eq!(view.num(&["sched", "completed"]), Some(0));
     assert_eq!(view.counter("no.such.counter"), 0);
-    assert_eq!(view.latency_quantile("total", 0.5), Some(0));
 
     for (cut, _) in text.char_indices() {
         let prefix = &text[..cut];
@@ -214,7 +213,6 @@ fn corrupted_stats_payloads_never_panic() {
                 // Still-valid mutations must still answer queries
                 // without panicking.
                 let _ = view.num(&["sched", "completed"]);
-                let _ = view.latency_quantile("total", 0.95);
                 let _ = view.counter("error.overloaded");
             }
         }

@@ -66,7 +66,8 @@ fn builder_to_execution_pipeline() {
         .relation("user", "community")
         .relation("community", "topic")
         .output(["user", "topic"])
-        .build();
+        .build()
+        .expect("a tree query");
     let user = names.attr("user").expect("interned");
     let community = names.attr("community").expect("interned");
     let topic = names.attr("topic").expect("interned");

@@ -25,8 +25,8 @@ fn trace_json_roundtrips_and_matches_cost_report() {
     let (q, rels) = funnel_instance();
     let (trace, cost) = traced_run(QueryEngine::new(8), &q, &rels);
 
-    validate(&trace.to_json()).expect("the library validator accepts the export");
-    let doc = Json::parse(&trace.to_json()).expect("exporter emits valid JSON");
+    validate(&trace.to_json(None, None, None)).expect("the library validator accepts the export");
+    let doc = Json::parse(&trace.to_json(None, None, None)).expect("exporter emits valid JSON");
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
         Some("mpcjoin-trace-v3")
@@ -90,7 +90,11 @@ fn trace_json_embeds_the_audit_verdict() {
     let (q, rels) = funnel_instance();
     let result = QueryEngine::new(8).trace(true).run(&q, &rels).unwrap();
     let trace = result.trace.as_ref().unwrap();
-    let text = trace.to_json_with(Some(&result.audit.to_json()), result.recovery.as_ref());
+    let text = trace.to_json(
+        Some(&result.audit.to_json()),
+        result.recovery.as_ref(),
+        None,
+    );
     let summary = validate(&text).expect("the audited export validates");
     assert!(summary.contains("audit ok"), "{summary}");
     let doc = Json::parse(&text).unwrap();
@@ -148,7 +152,7 @@ fn traces_are_identical_across_backends() {
         assert_eq!(threaded.events, serial.events, "{threads} threads");
         assert_eq!(threaded.compute, serial.compute, "{threads} threads");
         assert_eq!(threaded.phases, serial.phases, "{threads} threads");
-        validate(&threaded.to_json()).expect("every backend's export validates");
+        validate(&threaded.to_json(None, None, None)).expect("every backend's export validates");
     }
 }
 
@@ -172,7 +176,7 @@ fn a_tampered_trace_fails_validation_naming_the_cell() {
         })
         .expect("a real run moves tuples");
     trace.events[e].traffic[src][dst] += 1;
-    let err = validate(&trace.to_json()).expect_err("the column no longer re-sums");
+    let err = validate(&trace.to_json(None, None, None)).expect_err("the column no longer re-sums");
     assert!(
         err.contains(&format!("event {e}: traffic column {dst} sums to")),
         "{err}"
