@@ -142,11 +142,6 @@ impl BoundAuditor {
         }
     }
 
-    /// An auditor with an explicit multiplicative slack (≥ 0).
-    pub fn with_slack(slack: f64) -> Self {
-        BoundAuditor { slack }
-    }
-
     /// The additive allowance for a run on `p` servers:
     /// `p·(1 + ⌈log₂p⌉²)` units. Sample sort pools `Θ(p·log p)` splitter
     /// samples at its coordinator and a constant number of relations are

@@ -25,7 +25,7 @@ use mpcjoin_joinagg::{line_query, star_like_query, star_query, tree_query};
 use mpcjoin_matmul::matmul;
 use mpcjoin_mpc::join::join_aggregate;
 use mpcjoin_mpc::{
-    catch_cancel, CancelToken, Cluster, CostReport, DistRelation, FaultPlan, FaultPlane, MpcError,
+    CancelToken, Cluster, CostReport, DistRelation, FaultPlan, FaultPlane, MpcError,
     RecoveryReport, Trace, Tracer,
 };
 use mpcjoin_query::{classify, plan_reduction, Shape, TreeQuery};
@@ -195,10 +195,13 @@ impl QueryEngine {
     /// polls it at every round boundary and stops with
     /// [`MpcError::Cancelled`] or [`MpcError::DeadlineExceeded`] once it
     /// fires. Cancellation only takes effect *between* rounds, so no
-    /// partially-delivered exchange ever exists; the engine stays fully
-    /// reusable (every run builds a fresh cluster) and a rerun of the
-    /// same query is bit-identical — output and cost ledger — to a run
-    /// that was never cancelled.
+    /// partially-delivered exchange ever exists: the cluster halts
+    /// ([`Cluster::halted`]), its remaining exchanges deliver nothing,
+    /// and the run returns through its remaining local code on empty
+    /// data before the error surfaces. The engine stays fully reusable
+    /// (every run builds a fresh cluster) and a rerun of the same query
+    /// is bit-identical — output and cost ledger — to a run that was
+    /// never cancelled.
     #[must_use]
     pub fn cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
@@ -211,38 +214,17 @@ impl QueryEngine {
     /// Errors with [`MpcError::InvalidInstance`] when `instance` does not
     /// match the query's edges, [`MpcError::UnsupportedPlan`] when a
     /// forced plan does not apply to the query's shape,
-    /// [`MpcError::Unrecoverable`] when an injected fault schedule
-    /// exhausts the retry policy (see [`QueryEngine::faults`]), and
     /// [`MpcError::Cancelled`] / [`MpcError::DeadlineExceeded`] when an
     /// installed cancellation token fires at a round boundary (see
-    /// [`QueryEngine::cancel`]).
+    /// [`QueryEngine::cancel`]), and otherwise
+    /// [`MpcError::Unrecoverable`] when an injected fault schedule
+    /// exhausts the retry policy (see [`QueryEngine::faults`]).
     pub fn run<S: Semiring>(
         &self,
         q: &TreeQuery,
         instance: &[Relation<S>],
     ) -> Result<ExecutionResult<S>, MpcError> {
         validate_instance(q, instance)?;
-        if self.cancel.is_none() {
-            return self.run_validated(q, instance);
-        }
-        // With a token installed, a fired cancellation unwinds out of the
-        // cluster at a round boundary; convert it back into a structured
-        // error here. The unwinding drops the whole cluster (ledger, RNG,
-        // fault plane), so nothing of the cancelled run survives — the
-        // next `run` starts exactly as fresh as if this one never
-        // happened.
-        match catch_cancel(|| self.run_validated(q, instance)) {
-            Ok(result) => result,
-            Err(signal) => Err(signal.to_error()),
-        }
-    }
-
-    /// The body of [`QueryEngine::run`] after instance validation.
-    fn run_validated<S: Semiring>(
-        &self,
-        q: &TreeQuery,
-        instance: &[Relation<S>],
-    ) -> Result<ExecutionResult<S>, MpcError> {
         let mut run = self.observed_cluster(self.faults.as_ref(), self.cancel.as_ref());
         let cluster = &mut run.cluster;
         let dist: Vec<DistRelation<S>> = instance
@@ -262,6 +244,14 @@ impl QueryEngine {
         };
         let output: Vec<Attr> = q.output().iter().copied().collect();
         let result = normalize(run_forced(cluster, plan, q, &dist)?, &output);
+        // The run's last cluster operation is behind us. A token that
+        // fired halted the cluster and the run came back on empty
+        // exchanges: report the stop, ahead of a fault plane that
+        // poisoned the run earlier. Returning drops the cluster (ledger,
+        // RNG, fault plane), so the next `run` starts exactly as fresh.
+        if let Some((round, cause)) = cluster.halted() {
+            return Err(cause.error(round));
+        }
         let output_skew = result.data().skew();
         let output = result.gather();
         let cost = run.cluster.report();

@@ -65,12 +65,14 @@ pub fn combine_columns<S: Semiring>(
     let data = with_code.map_local(|_, items| {
         items
             .into_iter()
-            .map(|((row, s), code)| {
-                let code = code.expect("every combination was ranked");
+            .filter_map(|((row, s), code)| {
+                // Every combination was ranked, unless the run was stopped
+                // and its later exchanges delivered nothing: a row with no
+                // code then has nothing to become.
                 let mut new_row = Vec::with_capacity(1 + kept_pos.len());
-                new_row.push(code);
+                new_row.push(code?);
                 new_row.extend(kept_pos.iter().map(|&i| row[i]));
-                (new_row, s)
+                Some((new_row, s))
             })
             .collect::<Vec<_>>()
     });
@@ -103,13 +105,15 @@ pub fn expand_column<S: Semiring>(
     let data = with_combo.map_local(|_, items| {
         items
             .into_iter()
-            .map(|((row, s), combo)| {
-                let combo = combo.expect("code must decode");
+            .filter_map(|((row, s), combo)| {
+                // Every code decodes, unless the run was stopped (see
+                // `combine_columns`).
+                let combo = combo?;
                 let mut new_row = Vec::with_capacity(row.len() - 1 + combo.len());
                 new_row.extend_from_slice(&row[..code_pos]);
                 new_row.extend_from_slice(&combo);
                 new_row.extend_from_slice(&row[code_pos + 1..]);
-                (new_row, s)
+                Some((new_row, s))
             })
             .collect::<Vec<_>>()
     });

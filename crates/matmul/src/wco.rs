@@ -191,8 +191,10 @@ pub fn wco_matmul<S: Semiring>(
                             (kind, (other, 0), side, b, own, s.clone()),
                         ));
                     }
-                    // …and its light-light grid row/column.
-                    let g = gid.expect("light value must have a bundle id");
+                    // …and its light-light grid row/column. Every light
+                    // value has a bundle id, unless the run was stopped
+                    // and the lookup's exchanges delivered nothing.
+                    let Some(g) = gid else { continue };
                     if side == 1 {
                         for j in 0..l_groups {
                             out.push((

@@ -18,17 +18,21 @@
 //! after cancellation is bit-identical to a run that was never cancelled
 //! — output *and* cost ledger (pinned by `tests/tests/cancel.rs`).
 //!
-//! Mechanically, a fired token unwinds the run with a [`CancelSignal`]
-//! payload; [`catch_cancel`] converts the unwind back into a structured
-//! value at the caller's boundary (`QueryEngine::run` turns it into
-//! [`crate::MpcError::Cancelled`] / [`crate::MpcError::DeadlineExceeded`]).
-//! A process-wide panic hook shim keeps cancellation unwinds silent while
-//! delegating every real panic to the previously-installed hook.
+//! Mechanically, a fired token halts the cluster: the boundary records
+//! `(round, cause)` in state every `split` child shares, and from then on
+//! every exchange and broadcast delivers nothing — empty parts, no ledger
+//! credit, no observer call. The algorithm never learns of it; it returns
+//! through its remaining local code on empty data, and the caller reads
+//! [`crate::Cluster::halted`] once after the run's last cluster operation
+//! (`QueryEngine::run` turns it into [`crate::MpcError::Cancelled`] /
+//! [`crate::MpcError::DeadlineExceeded`] with [`CancelCause::error`]).
+//! The halted run still spends the local passes over data already on
+//! each server; stopping at a boundary never interrupted local work
+//! anyway.
 
 use crate::observe::{Proceed, RoundCtx, RoundObserver};
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Why a run stopped.
@@ -39,6 +43,18 @@ pub enum CancelCause {
     Cancelled,
     /// The token's wall-clock deadline passed.
     DeadlineExceeded,
+}
+
+impl CancelCause {
+    /// The structured error a run stopped for this cause at the boundary
+    /// of global round `round` surfaces as (no deliveries of that round
+    /// happened).
+    pub fn error(self, round: u64) -> crate::MpcError {
+        match self {
+            CancelCause::Cancelled => crate::MpcError::Cancelled { round },
+            CancelCause::DeadlineExceeded => crate::MpcError::DeadlineExceeded { round },
+        }
+    }
 }
 
 /// A cloneable, thread-safe cancellation handle. All clones share the
@@ -120,69 +136,6 @@ impl RoundObserver for CancelToken {
     }
 }
 
-/// The payload a cancelled run unwinds with: which round boundary fired
-/// and why. Convert to an [`crate::MpcError`] with
-/// [`CancelSignal::to_error`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CancelSignal {
-    /// Global round of the boundary the token fired at (no deliveries of
-    /// this round happened).
-    pub round: u64,
-    /// Why the token fired.
-    pub cause: CancelCause,
-}
-
-impl CancelSignal {
-    /// The structured error this signal surfaces as at an engine
-    /// boundary.
-    pub fn to_error(self) -> crate::MpcError {
-        match self.cause {
-            CancelCause::Cancelled => crate::MpcError::Cancelled { round: self.round },
-            CancelCause::DeadlineExceeded => {
-                crate::MpcError::DeadlineExceeded { round: self.round }
-            }
-        }
-    }
-}
-
-static SILENT_HOOK: Once = Once::new();
-
-/// Install (once, process-wide) a panic-hook shim that suppresses the
-/// default "thread panicked" report for [`CancelSignal`] unwinds and
-/// delegates every other panic to the hook that was installed before.
-fn install_silent_hook() {
-    SILENT_HOOK.call_once(|| {
-        let prev = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<CancelSignal>().is_none() {
-                prev(info);
-            }
-        }));
-    });
-}
-
-/// Unwind the current run with a cancellation signal. Called by the
-/// cluster at a round boundary once an observer stops the run; callers
-/// recover the signal with [`catch_cancel`].
-pub(crate) fn cancel_unwind(round: u64, cause: CancelCause) -> ! {
-    install_silent_hook();
-    panic::panic_any(CancelSignal { round, cause });
-}
-
-/// Run `f`, converting a cancellation unwind into `Err(signal)`. Any
-/// other panic is resumed unchanged (same payload, same abort-on-double-
-/// panic semantics), so this wrapper is invisible to real bugs.
-pub fn catch_cancel<R>(f: impl FnOnce() -> R) -> Result<R, CancelSignal> {
-    install_silent_hook();
-    match panic::catch_unwind(AssertUnwindSafe(f)) {
-        Ok(value) => Ok(value),
-        Err(payload) => match payload.downcast::<CancelSignal>() {
-            Ok(signal) => Err(*signal),
-            Err(other) => panic::resume_unwind(other),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,32 +168,5 @@ mod tests {
         // Explicit cancellation wins over an expired deadline.
         expired.cancel();
         assert_eq!(expired.fired(0), Some(CancelCause::Cancelled));
-    }
-
-    #[test]
-    fn catch_cancel_round_trips_the_signal() {
-        let out = catch_cancel(|| 42u32);
-        assert_eq!(out, Ok(42));
-        let err = catch_cancel(|| -> u32 { cancel_unwind(5, CancelCause::DeadlineExceeded) });
-        assert_eq!(
-            err,
-            Err(CancelSignal {
-                round: 5,
-                cause: CancelCause::DeadlineExceeded
-            })
-        );
-        assert!(matches!(
-            err.unwrap_err().to_error(),
-            crate::MpcError::DeadlineExceeded { round: 5 }
-        ));
-    }
-
-    #[test]
-    fn foreign_panics_are_resumed() {
-        let caught = panic::catch_unwind(|| {
-            let _ = catch_cancel(|| -> u32 { panic!("a real bug") });
-        });
-        let payload = caught.unwrap_err();
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"a real bug"));
     }
 }

@@ -5,7 +5,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::cancel;
+use crate::cancel::CancelCause;
 use crate::cost::{CostReport, CostTracker, PhaseReport};
 use crate::exec::{self, ExecBackend};
 use crate::observe::{Delivery, EventKind, Proceed, RoundCtx, RoundObserver};
@@ -43,11 +43,6 @@ impl<T> Distributed<T> {
     /// Local state of server `i`.
     pub fn local(&self, i: usize) -> &Vec<T> {
         &self.data[i]
-    }
-
-    /// Mutable local state of server `i`.
-    pub fn local_mut(&mut self, i: usize) -> &mut Vec<T> {
-        &mut self.data[i]
     }
 
     /// Iterate `(server, local state)`.
@@ -99,18 +94,6 @@ impl<T> Distributed<T> {
         }
     }
 
-    /// [`Distributed::map`] on the cluster's execution backend: servers'
-    /// local work runs concurrently, results merge in server order, so the
-    /// output is identical to `map` for any backend and thread count.
-    pub fn par_map<U, F>(self, cluster: &Cluster, f: F) -> Distributed<U>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        self.par_map_local(cluster, |_, local| local.into_iter().map(&f).collect())
-    }
-
     /// [`Distributed::map_local`] on the cluster's execution backend.
     ///
     /// The closure must be pure local computation: it sees one server's
@@ -156,7 +139,8 @@ impl<T> Distributed<T> {
 }
 
 /// What a cluster and its [`Cluster::split`] children share: the cost
-/// ledger, the installed observers, and the operation-scope label stack.
+/// ledger, the installed observers, the operation-scope label stack, and
+/// the halt.
 #[derive(Debug, Default)]
 struct Shared {
     ledger: CostTracker,
@@ -166,14 +150,23 @@ struct Shared {
     /// back to on close. Only maintained while an observer is installed.
     op_path: String,
     op_marks: Vec<usize>,
+    /// The round boundary an observer stopped the run at, and why (see
+    /// [`Cluster::halted`]). The first stop wins.
+    halt: Option<(u64, CancelCause)>,
 }
 
 impl Shared {
+    /// Whether any observer is still called: one is installed and the
+    /// run has not halted.
+    fn watched(&self) -> bool {
+        !self.observers.is_empty() && self.halt.is_none()
+    }
+
     /// Call `f` on every observer, in installation order, with the
     /// context of `round`. Free (no context strings built) when no
-    /// observer is installed.
+    /// observer is installed, and a no-op once the run halted.
     fn each(&self, round: u64, mut f: impl FnMut(&mut dyn RoundObserver, &RoundCtx<'_>)) {
-        if self.observers.is_empty() {
+        if !self.watched() {
             return;
         }
         let ctx = RoundCtx {
@@ -312,9 +305,10 @@ impl Cluster {
 
     /// One span of `tasks` backend tasks: observers may delay it
     /// (transient compute faults) and are shown its wall clock. The clock
-    /// is only read when an observer is installed.
+    /// is only read while an observer is called. A halted run still runs
+    /// the tasks — callers need their `tasks` results.
     fn timed<R>(&self, tasks: usize, run: impl FnOnce() -> R) -> R {
-        if self.shared.borrow().observers.is_empty() {
+        if !self.shared.borrow().watched() {
             return run();
         }
         let mut delay = Duration::ZERO;
@@ -354,6 +348,20 @@ impl Cluster {
         self.ledger().report()
     }
 
+    /// The round boundary an observer (a fired [`crate::CancelToken`])
+    /// stopped the run at, and why; the first stop wins. From that
+    /// boundary on every exchange and broadcast — of this cluster and of
+    /// every [`Cluster::split`] relative — returns empty parts, credits
+    /// nothing and calls no observer, and the algorithm returns through
+    /// its remaining local code on empty data. Its output is then
+    /// meaningless: a caller that drives a cluster directly checks this
+    /// once after the run's last cluster operation, the way it checks
+    /// [`crate::RecoveryReport::unrecoverable`] (`QueryEngine::run` does
+    /// both, this first).
+    pub fn halted(&self) -> Option<(u64, CancelCause)> {
+        self.shared.borrow().halt
+    }
+
     /// Open a labeled cost phase at the current round; subsequent traffic
     /// is attributed to it until the next mark. See
     /// [`Cluster::phase_reports`].
@@ -391,13 +399,13 @@ impl Cluster {
     }
 
     /// The round boundary: consult every observer before any delivery of
-    /// this round (see [`crate::observe`]). The first stop unwinds the
-    /// run with a [`crate::CancelSignal`] — recover it with
-    /// [`crate::catch_cancel`] — so a cancelled run leaves no
-    /// partially-delivered exchange behind; otherwise the requested
-    /// delays are slept here, outside any borrow. Returns whether an
-    /// observer asked for the traffic matrix.
-    fn round_boundary(&self, messages: usize) -> bool {
+    /// this round (see [`crate::observe`]). The first stop halts the run
+    /// here (see [`Cluster::halted`]) and this boundary, like every later
+    /// one, returns `None`: the caller delivers nothing, so a stopped run
+    /// leaves no partially-delivered exchange behind. Otherwise the
+    /// requested delays are slept here, outside any borrow, and the
+    /// result says whether an observer asked for the traffic matrix.
+    fn round_boundary(&self, messages: usize) -> Option<bool> {
         let mut go = Proceed::default();
         let mut stop = None;
         self.each(|obs, ctx| {
@@ -412,12 +420,15 @@ impl Cluster {
             }
         });
         if let Some(cause) = stop {
-            cancel::cancel_unwind(self.round, cause);
+            self.shared.borrow_mut().halt = Some((self.round, cause));
+        }
+        if self.halted().is_some() {
+            return None;
         }
         if !go.delay.is_zero() {
             std::thread::sleep(go.delay);
         }
-        go.traffic
+        Some(go.traffic)
     }
 
     /// Close the round: credit the ledger once per destination from
@@ -449,11 +460,14 @@ impl Cluster {
     /// delivered in `(src, position)` order, making simulations fully
     /// deterministic. An out-of-range `dest` panics unless an installed
     /// observer absorbs the violation (the fault plane does, turning it
-    /// into an unrecoverable run instead of a process abort).
+    /// into an unrecoverable run instead of a process abort). A halted
+    /// cluster delivers nothing: `p` empty parts (see [`Cluster::halted`]).
     pub fn exchange<T>(&mut self, outboxes: Vec<Vec<(usize, T)>>) -> Distributed<T> {
         let p = self.p();
         assert_eq!(outboxes.len(), p, "one outbox per logical server required");
-        let want_traffic = self.round_boundary(outboxes.iter().map(Vec::len).sum());
+        let Some(want_traffic) = self.round_boundary(outboxes.iter().map(Vec::len).sum()) else {
+            return Distributed::empty(p);
+        };
         let n = self.servers;
         let mut inboxes: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
         let mut received = vec![0u64; n];
@@ -481,11 +495,14 @@ impl Cluster {
 
     /// Deliver every item of every server to **all** servers (used for the
     /// paper's "broadcast R1 to all servers" steps on tiny relations).
-    /// Each server pays the full item count. Consumes one round.
+    /// Each server pays the full item count. Consumes one round. A halted
+    /// cluster delivers nothing, like [`Cluster::exchange`].
     pub fn broadcast<T: Clone>(&mut self, data: &Distributed<T>) -> Distributed<T> {
-        let items: Vec<T> = data.iter().flat_map(|(_, v)| v.iter().cloned()).collect();
         // One message per (item, destination) pair.
-        let want_traffic = self.round_boundary(items.len() * self.p());
+        let Some(want_traffic) = self.round_boundary(data.total_len() * self.p()) else {
+            return Distributed::empty(self.p());
+        };
+        let items: Vec<T> = data.iter().flat_map(|(_, v)| v.iter().cloned()).collect();
         let n = self.servers;
         let mut received = vec![0u64; n];
         for &dest in &self.phys {
@@ -603,6 +620,7 @@ impl Drop for OpScope {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
     use crate::fault::{FaultPlan, FaultPlane};
     use crate::trace::Tracer;
 
@@ -934,6 +952,32 @@ mod tests {
         let report = plane.borrow_mut().take_report();
         let (_, detail) = report.unrecoverable.expect("poisoned");
         assert!(detail.contains("out of range"));
+    }
+
+    #[test]
+    fn halt_delivers_nothing_and_calls_no_observer() {
+        let route = vec![vec![(2, "a"), (2, "b")], vec![(0, "c")], vec![]];
+        let mut bare = Cluster::new(3);
+        let _ = bare.exchange(route.clone());
+        let mut c = Cluster::new(3);
+        c.observe(CancelToken::new().at_round(1));
+        let tracer = c.observe(Tracer::new(3));
+        let d = c.exchange(route.clone());
+        assert_eq!(d.local(2), &vec!["a", "b"]);
+        assert_eq!(c.halted(), None);
+        let e = c.exchange(route);
+        assert_eq!(e.into_parts(), vec![Vec::<&str>::new(); 3]);
+        let b = c.broadcast(&d);
+        assert_eq!(b.into_parts(), vec![Vec::<&str>::new(); 3]);
+        let mut child = c.split(&[2]).remove(0);
+        assert_eq!(child.exchange(vec![vec![(1, 7u8)], vec![]]).total_len(), 0);
+        assert_eq!(c.halted(), Some((1, CancelCause::Cancelled)));
+        // Local work still runs and keeps its order.
+        assert_eq!(c.par_run(3, |i| i * 10), vec![0, 10, 20]);
+        assert_eq!(c.report(), bare.report());
+        let trace = tracer.borrow_mut().finish(&c);
+        assert_eq!(trace.events.len(), 1);
+        assert!(trace.compute.is_empty());
     }
 
     #[test]

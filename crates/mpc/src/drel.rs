@@ -71,25 +71,6 @@ impl<S: Semiring> DistRelation<S> {
         Relation::from_entries(self.schema.clone(), self.data.clone().collect_all())
     }
 
-    /// Filter entries locally (free).
-    pub fn filter_local(self, mut pred: impl FnMut(&Row) -> bool) -> Self {
-        let schema = self.schema.clone();
-        let data = self
-            .data
-            .map_local(|_, items| items.into_iter().filter(|(r, _)| pred(r)).collect());
-        DistRelation { schema, data }
-    }
-
-    /// [`DistRelation::filter_local`] on the cluster's execution backend:
-    /// per-server filtering runs concurrently, same output.
-    pub fn par_filter_local(self, cluster: &Cluster, pred: impl Fn(&Row) -> bool + Sync) -> Self {
-        let schema = self.schema.clone();
-        let data = self.data.par_map_local(cluster, |_, items| {
-            items.into_iter().filter(|(r, _)| pred(r)).collect()
-        });
-        DistRelation { schema, data }
-    }
-
     /// Positions of `attrs` in this relation's schema, or
     /// [`MpcError::MissingAttr`] for the first attribute not present.
     /// Algorithm internals that project onto attributes they constructed

@@ -344,7 +344,8 @@ impl FaultPlan {
         let seed = doc.get("seed").and_then(Json::as_u64).unwrap_or(0);
         let mut plan = FaultPlan::new(seed);
         if let Some(n) = doc.get("max_retries").and_then(Json::as_u64) {
-            plan.policy.max_retries = n as u32;
+            plan.policy.max_retries =
+                u32::try_from(n).map_err(|_| bad(format!("`max_retries` {n} exceeds u32")))?;
         }
         if let Some(us) = doc.get("backoff_us").and_then(Json::as_u64) {
             plan.policy.backoff = Duration::from_micros(us);
@@ -362,7 +363,12 @@ impl FaultPlan {
             let round = num("round");
             let from = num("from").or(round);
             let from = from.ok_or_else(|| bad(format!("fault {i}: missing `round`/`from`")))?;
-            let to = num("to").unwrap_or(from + 1);
+            let to = match num("to") {
+                Some(to) => to,
+                None => from
+                    .checked_add(1)
+                    .ok_or_else(|| bad(format!("fault {i}: `round`/`from` {from} has no end")))?,
+            };
             if to <= from {
                 return Err(bad(format!("fault {i}: empty window [{from}, {to})")));
             }
@@ -392,11 +398,14 @@ impl FaultPlan {
                             .ok_or_else(|| bad(format!("fault {i}: missing `delay_us`")))?,
                     ),
                 },
-                "compute" => FaultKind::ComputeFault {
-                    failures: num("failures")
-                        .ok_or_else(|| bad(format!("fault {i}: missing `failures`")))?
-                        as u32,
-                },
+                "compute" => {
+                    let n = num("failures")
+                        .ok_or_else(|| bad(format!("fault {i}: missing `failures`")))?;
+                    FaultKind::ComputeFault {
+                        failures: u32::try_from(n)
+                            .map_err(|_| bad(format!("fault {i}: `failures` {n} exceeds u32")))?,
+                    }
+                }
                 other => return Err(bad(format!("fault {i}: unknown kind `{other}`"))),
             };
             plan.faults.push(FaultSpec { from, to, kind });
@@ -1055,6 +1064,22 @@ mod tests {
         ] {
             let err = FaultPlan::from_json(bad).expect_err(bad);
             assert!(matches!(err, MpcError::InvalidFaultPlan(_)), "{bad}");
+        }
+        // Out-of-range numbers are named, not wrapped or truncated.
+        for (bad, names) in [
+            (
+                r#"{"faults":[{"kind":"reorder","from":18446744073709551615}]}"#,
+                "fault 0: `round`/`from`",
+            ),
+            (
+                r#"{"faults":[{"kind":"compute","round":0,"failures":4294967296}]}"#,
+                "fault 0: `failures`",
+            ),
+            (r#"{"max_retries":4294967297,"faults":[]}"#, "`max_retries`"),
+        ] {
+            let err = FaultPlan::from_json(bad).expect_err(bad);
+            assert!(matches!(err, MpcError::InvalidFaultPlan(_)), "{bad}");
+            assert!(err.to_string().contains(names), "{err}");
         }
     }
 

@@ -37,9 +37,10 @@
 //!   recovered run's output and ledger are bit-identical to the
 //!   fault-free run,
 //! * [`cancel`] — cooperative cancellation: a deadline- or caller-driven
-//!   [`CancelToken`] polled at round boundaries only, so a cancelled run
-//!   leaves no partially-delivered exchange and a rerun is bit-identical
-//!   to a fresh run,
+//!   [`CancelToken`] polled at round boundaries only; a fired token halts
+//!   the cluster ([`Cluster::halted`]), so a cancelled run leaves no
+//!   partially-delivered exchange and a rerun is bit-identical to a
+//!   fresh run,
 //! * [`primitives`] — the §2.1 toolbox: sorting, reduce-by-key,
 //!   multi-search, prefix sums, parallel-packing,
 //! * [`DistRelation`] — annotated relations partitioned over a cluster,
@@ -88,7 +89,7 @@ pub mod primitives;
 pub mod rng;
 pub mod trace;
 
-pub use cancel::{catch_cancel, CancelCause, CancelSignal, CancelToken};
+pub use cancel::{CancelCause, CancelToken};
 pub use cluster::{Cluster, Distributed, OpScope};
 pub use cost::{CostReport, CostTracker, PhaseReport};
 pub use drel::DistRelation;

@@ -12,14 +12,17 @@
 //! ```text
 //! exchange / broadcast
 //!   │  round boundary
+//!   ├─▶ halted already? ─▶ return p empty parts: no delivery, no credit,
+//!   │                      no observer call (see Cluster::halted)
 //!   ├─▶ before_round(ctx, messages)   installation order; first stop wins,
-//!   │                                 delays add up and are slept once
+//!   │       │                         delays add up and are slept once
+//!   │       └─ Err(cause) ─▶ halt = (round, cause); return p empty parts
 //!   ├─▶ deliver: bounds-check, count into received[dst], push
 //!   │       └─ bad destination ─▶ violation(ctx, detail)  absorbed? else panic
 //!   ├─▶ ledger.credit(dst, round, received[dst])          once per destination
 //!   └─▶ delivered(ctx, &Delivery)     only when units > 0, like the ledger
 //!
-//! par_run / par_map_parts / par_consume
+//! par_run / par_map_parts / par_consume   (tasks run even when halted)
 //!   ├─▶ before_compute(ctx)           delays add up and are slept once
 //!   ├─▶ run the tasks on the exec backend (timed)
 //!   └─▶ computed(ctx, tasks, elapsed)
@@ -96,8 +99,9 @@ pub struct Delivery<'a> {
 /// interested"; observers are consulted in installation order.
 pub trait RoundObserver: std::fmt::Debug {
     /// The round boundary, before any delivery of `messages` messages.
-    /// `Err(cause)` stops the run here (the cluster unwinds with a
-    /// [`crate::CancelSignal`]; later observers are not consulted).
+    /// `Err(cause)` stops the run here: later observers are not
+    /// consulted, the cluster halts (see [`crate::Cluster::halted`]) and
+    /// no observer is called again.
     fn before_round(
         &mut self,
         _ctx: &RoundCtx<'_>,

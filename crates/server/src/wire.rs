@@ -849,6 +849,12 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.code, "invalid_fault_plan");
+        let err = parse_frame(
+            "{\"type\":\"query\",\"id\":1,\"query\":\"Q(a) :- R(a)\",\"fault_plan\":\
+             {\"faults\":[{\"kind\":\"reorder\",\"from\":18446744073709551615}]}}",
+        )
+        .unwrap_err();
+        assert_eq!(err.code, "invalid_fault_plan");
     }
 
     #[test]

@@ -231,6 +231,30 @@ fn every_plan_cancels_at_every_boundary_under_tropical_min() {
     sweep_under_tropical_min(Boundaries::All);
 }
 
+/// The fixtures above have no heavy/light mix. A Zipf-skewed product
+/// takes the worst-case-optimal path, which looks up each light value's
+/// bundle id rounds before it routes the tuple; cancelling in between
+/// must still stop cleanly.
+#[test]
+fn skewed_matmul_cancels_at_every_boundary() {
+    let inst = mpcjoin_workload::matrix::zipf::<Count>(
+        &mut mpcjoin_workload::rng(1),
+        (A, B, C),
+        300,
+        300,
+        40,
+        1.2,
+    );
+    let q = TreeQuery::new(vec![Edge::binary(A, B), Edge::binary(B, C)], [A, C]);
+    sweep_plan(
+        PlanKind::MatMul,
+        &q,
+        &[inst.r1, inst.r2],
+        1,
+        Boundaries::All,
+    );
+}
+
 #[test]
 fn deadline_and_caller_cancellation_report_cause_and_round() {
     let q = TreeQuery::new(vec![Edge::binary(A, B), Edge::binary(B, C)], [A, C]);
@@ -260,6 +284,25 @@ fn deadline_and_caller_cancellation_report_cause_and_round() {
         "got {err:?}"
     );
     assert_eq!(err.code(), "cancelled");
+}
+
+/// A fault plane that poisons the run at round 0 and a token that fires
+/// later: the stop wins, as the caller asked for it and the poisoned
+/// output is never read.
+#[test]
+fn cancellation_wins_over_an_earlier_unrecoverable_fault() {
+    let (kind, q, rels) = workloads::<Count>().remove(0);
+    assert_eq!(kind, PlanKind::MatMul);
+    let err = QueryEngine::new(8)
+        .plan(PlanChoice::Force(kind))
+        .faults(FaultPlan::new(3).drop_window(0, 1000, 1.0).retries(0))
+        .cancel(CancelToken::new().at_round(3))
+        .run(&q, &rels)
+        .expect_err("both stops fire");
+    assert!(
+        matches!(err, MpcError::Cancelled { round } if round >= 3),
+        "got {err:?}"
+    );
 }
 
 /// Pool safety through the serving layer: a deadline-cancelled request
