@@ -82,8 +82,8 @@ use mpcjoin::mpc::DetRng;
 use mpcjoin::prelude::*;
 use mpcjoin_bench::{Artifact, ServerArtifact, ServerRecord};
 use mpcjoin_server::obs::{reconcile_client, StatsView};
-use mpcjoin_server::wire::ResponseView;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use mpcjoin_server::wire::{self, ResponseView, WIRE_SCHEMA};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -197,7 +197,7 @@ fn parse_args() -> Result<Args, String> {
 
 /// One connection with line-oriented request/response helpers.
 struct Conn {
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
     reader: BufReader<TcpStream>,
 }
 
@@ -212,17 +212,19 @@ impl Conn {
         let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
         stream
             .set_read_timeout(Some(read_timeout))
+            .and_then(|()| stream.set_nodelay(true))
             .map_err(|e| e.to_string())?;
         let read_half = stream.try_clone().map_err(|e| e.to_string())?;
         Ok(Conn {
-            writer: BufWriter::new(stream),
+            writer: stream,
             reader: BufReader::new(read_half),
         })
     }
 
+    /// One write per frame on a `TCP_NODELAY` socket, as the server
+    /// replies (see `wire::write_frame`).
     fn send(&mut self, frame: &str) -> Result<(), String> {
-        writeln!(self.writer, "{frame}")
-            .and_then(|()| self.writer.flush())
+        wire::write_frame(&mut self.writer, frame.to_string(), None)
             .map_err(|e| format!("send: {e}"))
     }
 
@@ -276,10 +278,7 @@ impl PreparedQuery {
             })
             .collect();
         let mut members = vec![
-            (
-                "schema".into(),
-                Json::Str(mpcjoin_server::wire::WIRE_SCHEMA.into()),
-            ),
+            ("schema".into(), Json::Str(WIRE_SCHEMA.into())),
             ("type".into(), Json::Str("query".into())),
             ("id".into(), Json::Num(id as f64)),
             ("session".into(), Json::Str(session.into())),
@@ -524,10 +523,7 @@ fn build_update(
     rows[0].1.push(ins0);
     rows[1].1.push(ins1);
     let mut members = vec![
-        (
-            "schema".into(),
-            Json::Str(mpcjoin_server::wire::WIRE_SCHEMA.into()),
-        ),
+        ("schema".into(), Json::Str(WIRE_SCHEMA.into())),
         ("type".into(), Json::Str("update".into())),
         ("id".into(), Json::Num(id as f64)),
         ("session".into(), Json::Str(session.into())),
@@ -772,12 +768,12 @@ fn run_session(args: &Args, session: usize, fault_plan: Option<&Json>) -> Sessio
     }
 }
 
-/// Fetch the server's `stats` frame, returning the raw frame line.
-fn scrape_stats(addr: &str) -> Result<String, String> {
+/// Send a `{"type": kind, "id": 0}` control frame on a fresh
+/// connection and return the raw reply line.
+fn control(addr: &str, kind: &str) -> Result<String, String> {
     let mut conn = Conn::open(addr)?;
     conn.send(&format!(
-        "{{\"schema\":\"{}\",\"type\":\"stats\",\"id\":0}}",
-        mpcjoin_server::wire::WIRE_SCHEMA
+        "{{\"schema\":\"{WIRE_SCHEMA}\",\"type\":\"{kind}\",\"id\":0}}"
     ))?;
     conn.recv_line()
 }
@@ -785,18 +781,9 @@ fn scrape_stats(addr: &str) -> Result<String, String> {
 fn wait_ready(addr: &str) -> Result<(), String> {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        if let Ok(mut conn) = Conn::open(addr) {
-            let ping = format!(
-                "{{\"schema\":\"{}\",\"type\":\"ping\",\"id\":0}}",
-                mpcjoin_server::wire::WIRE_SCHEMA
-            );
-            if conn.send(&ping).is_ok() {
-                if let Ok(view) = conn.recv() {
-                    if view.kind == "pong" {
-                        return Ok(());
-                    }
-                }
-            }
+        let reply = control(addr, "ping").and_then(|line| ResponseView::parse(&line));
+        if reply.is_ok_and(|view| view.kind == "pong") {
+            return Ok(());
         }
         if Instant::now() > deadline {
             return Err(format!("server at {addr} not ready after 30s"));
@@ -806,12 +793,7 @@ fn wait_ready(addr: &str) -> Result<(), String> {
 }
 
 fn shutdown(addr: &str) -> Result<u64, String> {
-    let mut conn = Conn::open(addr)?;
-    conn.send(&format!(
-        "{{\"schema\":\"{}\",\"type\":\"shutdown\",\"id\":0}}",
-        mpcjoin_server::wire::WIRE_SCHEMA
-    ))?;
-    let view = conn.recv()?;
+    let view = ResponseView::parse(&control(addr, "shutdown")?)?;
     if view.kind != "shutdown_ack" {
         return Err(format!("expected shutdown_ack, got `{}`", view.kind));
     }
@@ -950,7 +932,7 @@ fn main() -> ExitCode {
 
     // Scrape the server's own counters and reconcile them with the
     // client-side tallies (exactly, or as lower bounds under chaos).
-    match scrape_stats(&control_addr) {
+    match control(&control_addr, "stats") {
         Err(e) => failures.push(format!("stats scrape: {e}")),
         Ok(raw) => {
             if let Some(path) = &args.stats_out {

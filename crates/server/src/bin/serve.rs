@@ -16,7 +16,8 @@
 //! `mpcjoin_server::wire`): one thread per connection reads frames, query
 //! jobs go through the shared scheduler (bounded queue, per-session
 //! quotas, explicit backpressure), and responses are written back on the
-//! requesting connection as they complete — pipelined requests may
+//! requesting connection as they complete, each in one write on a
+//! `TCP_NODELAY` socket ([`wire::write_frame`]) — pipelined requests may
 //! complete out of order; match on `id`.
 //!
 //! A `shutdown` frame triggers the graceful path: admission closes
@@ -52,10 +53,10 @@
 //! `--max-relation-bytes` and `--cost-ceiling` arm priced admission
 //! (see `mpcjoin_server::sched`).
 
-use mpcjoin::mpc::json::{escape_str, Json};
+use mpcjoin::mpc::json::Json;
 use mpcjoin_server::wire::{self, Frame};
 use mpcjoin_server::{RequestCtx, Scheduler, ServerConfig};
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -138,35 +139,27 @@ fn parse_args() -> Result<(String, ServerConfig, u64), String> {
     Ok((addr, cfg, read_timeout_ms))
 }
 
-/// Write one frame line to a shared connection writer; returns `false`
-/// when the peer has gone away (the job's result is then dropped — the
-/// work itself already completed and was cached/counted normally).
-fn send(writer: &Mutex<BufWriter<TcpStream>>, frame: &str) -> bool {
-    let mut w = writer.lock().expect("connection writer lock");
-    writeln!(w, "{frame}").and_then(|()| w.flush()).is_ok()
+/// Write one reply, stamped with its `rid`, to a connection shared by
+/// its reader thread and the scheduler workers: one `write_all` under
+/// the lock ([`wire::write_frame`]), so replies never interleave.
+/// Returns `false` when the peer has gone away (the job's result is
+/// then dropped — the work itself already completed and was
+/// cached/counted normally).
+fn send(writer: &Mutex<TcpStream>, frame: String, rid: u64) -> bool {
+    let mut stream = writer.lock().expect("connection writer lock");
+    wire::write_frame(&mut *stream, frame, Some(rid)).is_ok()
 }
 
 /// The `stats` response: the `mpcjoin-serverstats-v1` payload under
-/// `stats`.
-fn stats_frame(id: Option<u64>, sched: &Scheduler) -> String {
+/// `stats`, or its text exposition (one escaped string) under `text`.
+fn stats_frame(id: Option<u64>, member: &str, payload: Json) -> String {
     Json::Obj(vec![
         ("schema".into(), Json::Str(wire::WIRE_SCHEMA.into())),
         ("type".into(), Json::Str("stats".into())),
         ("id".into(), id.map_or(Json::Null, |v| Json::Num(v as f64))),
-        ("stats".into(), sched.stats_doc()),
+        (member.into(), payload),
     ])
     .to_string_sanitized()
-}
-
-/// The `stats` response in text-exposition form (the payload is a
-/// single escaped string member).
-fn stats_text_frame(id: Option<u64>, sched: &Scheduler) -> String {
-    format!(
-        "{{\"schema\":\"{}\",\"type\":\"stats\",\"id\":{},\"text\":{}}}",
-        wire::WIRE_SCHEMA,
-        id.map_or_else(|| "null".to_string(), |v| v.to_string()),
-        escape_str(&sched.stats_text()),
-    )
 }
 
 fn handle_connection(
@@ -177,6 +170,9 @@ fn handle_connection(
     local: SocketAddr,
     read_timeout_ms: u64,
 ) {
+    // Replies leave whole, one write each; without this, Nagle holds a
+    // reply's tail until the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     // Both halves get a timeout so neither a half-open peer (read) nor
     // a zero-window peer (write) can pin this thread indefinitely.
     if read_timeout_ms > 0 {
@@ -187,7 +183,7 @@ fn handle_connection(
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let writer = Arc::new(Mutex::new(BufWriter::new(stream)));
+    let writer = Arc::new(Mutex::new(stream));
     // Sessions default to a per-connection identity so anonymous clients
     // are quota'd individually rather than pooled under "".
     let default_session = format!("conn-{conn_id}");
@@ -215,7 +211,7 @@ fn handle_connection(
                 let e = bad
                     .to_wire_error()
                     .expect("oversized/non-utf8 outcomes map to a wire error");
-                send(&writer, &wire::stamp_rid(&malformed(rid, &e), rid));
+                send(&writer, malformed(rid, &e), rid);
                 break;
             }
             wire::LineOutcome::Io(_) => {
@@ -228,9 +224,9 @@ fn handle_connection(
             continue;
         }
         // Every line — parseable or not — gets a server request id; all
-        // responses echo it via `stamp_rid`.
+        // responses echo it (`send` stamps it).
         let rid = obs.next_rid();
-        let reply = |frame: &str| send(&writer, &wire::stamp_rid(frame, rid));
+        let reply = |frame: String| send(&writer, frame, rid);
         let request_event = |kind: &str, id: Option<u64>, session: &str| {
             obs.count(&format!("frames.{kind}"), 1);
             obs.log_event(
@@ -252,7 +248,7 @@ fn handle_connection(
         let mut frame = match wire::parse_frame(&line) {
             Ok(frame) => frame,
             Err(e) => {
-                if !reply(&malformed(rid, &e)) {
+                if !reply(malformed(rid, &e)) {
                     break;
                 }
                 continue;
@@ -265,13 +261,13 @@ fn handle_connection(
         let delivered = match frame {
             Frame::Ping { id } => {
                 request_event("ping", id, &default_session);
-                reply(&wire::pong_frame(id))
+                reply(wire::pong_frame(id))
             }
             Frame::Stats { id, format } => {
                 request_event("stats", id, &default_session);
-                reply(&match format.as_deref() {
-                    None => stats_frame(id, &sched),
-                    Some("text") => stats_text_frame(id, &sched),
+                reply(match format.as_deref() {
+                    None => stats_frame(id, "stats", sched.stats_doc()),
+                    Some("text") => stats_frame(id, "text", Json::Str(sched.stats_text())),
                     Some(other) => obs.error_frame(&wire::WireError {
                         id,
                         code: "bad_request",
@@ -286,7 +282,7 @@ fn handle_connection(
                 // admitted query has been answered and its artifacts
                 // flushed.
                 let completed = sched.drain();
-                reply(&wire::shutdown_ack_frame(id, completed));
+                reply(wire::shutdown_ack_frame(id, completed));
                 stopping.store(true, Ordering::SeqCst);
                 // Unblock the accept loop so the process can exit.
                 let _ = TcpStream::connect(local);
@@ -296,19 +292,21 @@ fn handle_connection(
                 request_event("explain", Some(req.id), &req.session);
                 // Compilation is statistics-only (no simulated cluster
                 // run), so it is answered inline rather than queued.
-                reply(&sched.executor().explain(&req, &ctx))
+                reply(sched.executor().explain(&req, &ctx))
             }
             Frame::Update(req) => {
                 request_event("update", Some(req.id), &req.session);
-                // Updates are delta-sized by construction, so they are
-                // answered inline (like explain) rather than queued.
-                reply(&sched.executor().update(&req, &ctx))
+                // Answered inline on this thread (like explain), not
+                // queued — yet each update ends in a full cold
+                // revalidation run (`Executor::update`), so it blocks
+                // this connection for a whole engine run (ROADMAP item 3).
+                reply(sched.executor().update(&req, &ctx))
             }
             Frame::Query(req) => {
                 request_event("query", Some(req.id), &req.session);
                 let writer = Arc::clone(&writer);
                 sched.submit(rid, *req, move |frame| {
-                    send(&writer, &wire::stamp_rid(&frame, rid));
+                    send(&writer, frame, rid);
                 });
                 true
             }

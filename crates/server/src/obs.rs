@@ -9,7 +9,7 @@
 //!
 //! * **Request ids and spans.** The wire layer allocates a monotone
 //!   request id (`rid`) per incoming frame ([`Obs::next_rid`]); every
-//!   response frame echoes it (`wire::stamp_rid`), and the request's
+//!   response frame echoes it (`wire::write_frame`), and the request's
 //!   trip through the stack is measured as per-phase wall-clock spans
 //!   ([`RequestSpans`]: queue wait, cache lookup, engine rounds,
 //!   serialization, total). Per-query trace artifacts are tagged with
@@ -255,11 +255,6 @@ impl Obs {
             log: Some(Mutex::new(std::io::BufWriter::new(file))),
             ..Obs::new()
         })
-    }
-
-    /// Whether an operational log is attached.
-    pub fn log_enabled(&self) -> bool {
-        self.log.is_some()
     }
 
     /// Nanoseconds since the plane (≈ the server) started.

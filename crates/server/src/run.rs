@@ -25,7 +25,7 @@
 //!       Executor::complete ── Ok: spans, `complete` event, the frame    │
 //!                          └─ Err: `complete` event, Obs::error_frame   │
 //!                                                    ▼                  │
-//!                                    wire::stamp_rid ─► send ◄──────────┘
+//!     send ─► wire::write_frame: `,"rid":N`, `\n`, one write_all ◄──────┘
 //! ```
 //!
 //! Three decisions are each made in exactly one place. *Which semiring*
@@ -149,7 +149,8 @@ impl SemiringVisitor for Compile<'_> {
     type Out = Result<Explain, WireError>;
 
     fn visit<S: Semiring>(self, weight: fn(Option<i64>) -> S) -> Self::Out {
-        let rels = build_relations(self.relations, self.parsed, weight)?;
+        let bound = bind_relations(self.relations, self.parsed)?;
+        let rels = build_relations(&bound, self.parsed, weight);
         Ok(self.engine.explain(&self.parsed.query, &rels)?)
     }
 }
@@ -264,8 +265,9 @@ impl Executor {
     /// Apply one update frame to its registered view, returning the
     /// response frame (an `update` frame carrying the `mpcjoin-delta-v1`
     /// decision document and the revalidated canonical body, or an error
-    /// frame). Updates run inline — the delta-sized work is exactly what
-    /// the incremental path is for.
+    /// frame). Updates run inline, and each ends in a full cold
+    /// revalidation run of the updated instance, so an update costs at
+    /// least a cold query (ROADMAP item 3).
     pub fn update(&self, req: &UpdateRequest, ctx: &RequestCtx) -> String {
         let (tag, started) = (ctx.tag(req.id, &req.session), Instant::now());
         let outcome =
@@ -457,7 +459,12 @@ impl SemiringVisitor for Scope<'_, QueryRequest> {
             total_ns: elapsed_ns(started),
         };
         ex.obs.count(&format!("semiring.{}", req.semiring), 1);
-        let rels = build_relations(&req.relations, parsed, weight)?;
+        // Every relation check runs before the cache is probed (the
+        // digest cannot tell a missing relation from an empty one), but
+        // relations are built only for what reads them: a miss's run or
+        // a registering request's view.
+        let bound = bind_relations(&req.relations, parsed)?;
+        let build = || build_relations(&bound, parsed, weight);
 
         // Faulted requests bypass the cache in both directions: they must
         // actually exercise the recovery path, and their (identical)
@@ -469,7 +476,7 @@ impl SemiringVisitor for Scope<'_, QueryRequest> {
                 req.servers,
                 &req.plan,
                 req.limit,
-                &req.relations,
+                &bound,
                 parsed,
             )
         });
@@ -483,7 +490,7 @@ impl SemiringVisitor for Scope<'_, QueryRequest> {
                         "cached body names no known plan; cannot register the view",
                     )
                 })?;
-                ex.register_view(req, parsed, &rels, plan)?;
+                ex.register_view(req, parsed, &build(), plan)?;
             }
             if coalesced {
                 ex.obs.count("coalesce.hits", 1);
@@ -527,6 +534,7 @@ impl SemiringVisitor for Scope<'_, QueryRequest> {
             }
         }
         let cache_ns = elapsed_ns(cache_started);
+        let rels = build();
 
         let instrumented = ex.artifact_dir.is_some();
         let engine = ex.engine_for(req.servers, choice, instrumented);
@@ -649,7 +657,8 @@ impl SemiringVisitor for Scope<'_, UpdateRequest> {
         // before any state changes.
         let relations = edited_row_list(req, &entry.relations)?;
         let batch = build_batch(req, parsed, weight)?;
-        let rels = build_relations(&relations, parsed, weight)?;
+        let bound = bind_relations(&relations, parsed)?;
+        let rels = build_relations(&bound, parsed, weight);
 
         let engine = ex.engine_for(req.servers, choice, false);
         // An engine error past this point can leave the view mid-patch,
@@ -682,7 +691,7 @@ impl SemiringVisitor for Scope<'_, UpdateRequest> {
             req.servers,
             &req.plan,
             req.limit,
-            &relations,
+            &bound,
             parsed,
         );
         entry.relations = relations;
@@ -742,55 +751,67 @@ fn elapsed_ns(since: Instant) -> u64 {
     since.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Bind one wire row of relation `name` (row `j`) to an edge of `arity`
-/// attributes: the edge's non-negative values in attribute order, plus
-/// the optional trailing weight.
-fn bind_row(
-    name: &str,
-    j: usize,
-    row: &[i64],
-    arity: usize,
-) -> Result<(Vec<Value>, Option<i64>), WireError> {
-    let bad = |detail: String| WireError::new("bad_request", detail);
-    if row.len() != arity && row.len() != arity + 1 {
-        return Err(bad(format!(
-            "relation `{name}` row {j}: expected {arity} values (plus an optional weight), got {}",
-            row.len()
-        )));
-    }
-    let values = row[..arity]
-        .iter()
-        .map(|&v| {
-            Value::try_from(v)
-                .map_err(|_| bad(format!("relation `{name}` row {j}: negative value {v}")))
-        })
-        .collect::<Result<_, _>>()?;
-    Ok((values, row.get(arity).copied()))
+/// Check one wire row of relation `name` (row `j`) against an edge of
+/// `arity` attributes: the edge's non-negative values in attribute
+/// order, plus an optional trailing weight.
+fn check_row(name: &str, j: usize, row: &[i64], arity: usize) -> Result<(), WireError> {
+    let got = row.len();
+    let detail = if got != arity && got != arity + 1 {
+        format!("expected {arity} values (plus an optional weight), got {got}")
+    } else if let Some(v) = row[..arity].iter().find(|&&v| v < 0) {
+        format!("negative value {v}")
+    } else {
+        return Ok(());
+    };
+    let detail = format!("relation `{name}` row {j}: {detail}");
+    Err(WireError::new("bad_request", detail))
 }
 
-/// Bind a frame's relation rows to the parsed query's body atoms and
-/// build annotated relations (row conventions: [`bind_row`]).
+/// A [`check_row`]ed row's edge values and annotation.
+fn row_entry<S>(row: &[i64], arity: usize, weight: fn(Option<i64>) -> S) -> (Vec<Value>, S) {
+    let values = row[..arity].iter().map(|&v| v as Value).collect();
+    (values, weight(row.get(arity).copied()))
+}
+
+/// Bind a frame's relation rows to the parsed query's body atoms, in
+/// atom order, checking every row: every `bad_request` a request's
+/// relations can earn is raised here, before anything is built.
+fn bind_relations<'r>(
+    relations: &'r RowMap,
+    parsed: &ParsedQuery,
+) -> Result<Vec<&'r [Vec<i64>]>, WireError> {
+    let atoms = parsed.relation_names.iter().zip(parsed.query.edges());
+    atoms
+        .map(|(name, edge)| {
+            let (_, rows) = relations.iter().find(|(n, _)| n == name).ok_or_else(|| {
+                WireError::new(
+                    "bad_request",
+                    format!("no rows provided for relation `{name}`"),
+                )
+            })?;
+            for (j, row) in rows.iter().enumerate() {
+                check_row(name, j, row, edge.attrs().len())?;
+            }
+            Ok(rows.as_slice())
+        })
+        .collect()
+}
+
+/// Build annotated relations from [`bind_relations`]' rows.
 fn build_relations<S: Semiring>(
-    relations: &RowMap,
+    bound: &[&[Vec<i64>]],
     parsed: &ParsedQuery,
     weight: fn(Option<i64>) -> S,
-) -> Result<Vec<Relation<S>>, WireError> {
-    let mut rels = Vec::with_capacity(parsed.relation_names.len());
-    for (name, edge) in parsed.relation_names.iter().zip(parsed.query.edges()) {
-        let (_, rows) = relations.iter().find(|(n, _)| n == name).ok_or_else(|| {
-            WireError::new(
-                "bad_request",
-                format!("no rows provided for relation `{name}`"),
-            )
-        })?;
-        let mut rel = Relation::empty(Schema::new(edge.attrs().to_vec()));
-        for (j, row) in rows.iter().enumerate() {
-            let (values, w) = bind_row(name, j, row, edge.attrs().len())?;
-            rel.push(values, weight(w));
-        }
-        rels.push(rel);
-    }
-    Ok(rels)
+) -> Vec<Relation<S>> {
+    let atoms = bound.iter().zip(parsed.query.edges());
+    atoms
+        .map(|(rows, edge)| {
+            let entries = rows
+                .iter()
+                .map(|row| row_entry(row, edge.attrs().len(), weight));
+            Relation::from_entries(Schema::new(edge.attrs().to_vec()), entries.collect())
+        })
+        .collect()
 }
 
 /// Append the query's structural tokens: edges (attr ids in edge
@@ -870,7 +891,7 @@ fn edited_row_list(
 }
 
 /// Build the [`DeltaBatch`] an update frame describes, binding each
-/// relation name to its query edge (row conventions: [`bind_row`]).
+/// relation name to its query edge (row conventions: [`check_row`]).
 fn build_batch<S: Semiring>(
     req: &UpdateRequest,
     parsed: &ParsedQuery,
@@ -891,11 +912,12 @@ fn build_batch<S: Semiring>(
                 })?;
             let arity = parsed.query.edges()[k].attrs().len();
             for (j, row) in rows.iter().enumerate() {
-                let (values, w) = bind_row(name, j, row, arity)?;
+                check_row(name, j, row, arity)?;
+                let (values, w) = row_entry(row, arity, weight);
                 if is_delete {
-                    batch.delete(k, values, weight(w));
+                    batch.delete(k, values, w);
                 } else {
-                    batch.insert(k, values, weight(w));
+                    batch.insert(k, values, w);
                 }
             }
         }
@@ -906,15 +928,16 @@ fn build_batch<S: Semiring>(
 /// The cache digest of a request, over its canonical token stream. Relation
 /// and attribute *names* never enter the stream (attributes are the
 /// parser's appearance-ordered ids; relations bind to atoms by
-/// position), and rows are sorted, so renamed or reordered spellings of
-/// the same run share a cache entry. The semiring enters as its index
-/// in the wire vocabulary (unknown names never reach the digest).
+/// position — `bound` is [`bind_relations`]' output), and rows are
+/// sorted, so renamed or reordered spellings of the same run share a
+/// cache entry. The semiring enters as its index in the wire
+/// vocabulary (unknown names never reach the digest).
 fn request_digest(
     semiring: &str,
     servers: usize,
     plan: &str,
     limit: Option<usize>,
-    relations: &RowMap,
+    bound: &[&[Vec<i64>]],
     parsed: &ParsedQuery,
 ) -> u128 {
     let mut tokens: Vec<u64> = vec![
@@ -927,13 +950,9 @@ fn request_digest(
         limit.map_or(u64::MAX, |n| n as u64),
     ];
     query_tokens(parsed, &mut tokens);
-    // Relation data, bound in atom order, rows sorted.
-    for name in &parsed.relation_names {
-        let mut rows = relations
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, rows)| rows.clone())
-            .unwrap_or_default();
+    // Relation data, in atom order, rows sorted (by reference).
+    for rows in bound {
+        let mut rows: Vec<&Vec<i64>> = rows.iter().collect();
         rows.sort_unstable();
         tokens.push(rows.len() as u64);
         for row in rows {
@@ -1137,6 +1156,22 @@ mod tests {
         let view = ResponseView::parse(&ex.execute(&req, &RequestCtx::default())).unwrap();
         assert_eq!(view.code.as_deref(), Some("bad_request"));
         assert_eq!(view.id, Some(5));
+    }
+
+    #[test]
+    fn relations_are_checked_before_the_cache_is_probed() {
+        // A missing relation and an empty one digest alike, so a check
+        // that ran after the cache probe would turn this `bad_request`
+        // into a hit on the empty twin's entry.
+        let ex = executor();
+        let empty = request(&mm_query_line(1, false, "{\"R\":[[1,10]],\"S\":[]}"));
+        let view = ResponseView::parse(&ex.execute(&empty, &RequestCtx::default())).unwrap();
+        assert_eq!((view.kind.as_str(), view.cached), ("result", false));
+        let missing = request(&mm_query_line(2, false, "{\"R\":[[1,10]]}"));
+        let view = ResponseView::parse(&ex.execute(&missing, &RequestCtx::default())).unwrap();
+        assert_eq!(view.code.as_deref(), Some("bad_request"));
+        assert!(view.detail.unwrap().contains("relation `S`"));
+        assert_eq!(ex.cache_stats().hits, 0);
     }
 
     #[test]

@@ -94,8 +94,17 @@
 //! (server is shutting down). `overloaded` and `quota_exceeded` carry
 //! `retry_after_ms` — backpressure is always an explicit, retryable
 //! protocol answer, never a dropped connection.
+//!
+//! ## Putting a frame on a socket
+//!
+//! [`write_frame`] is the one way a frame leaves, on the server and on
+//! the `loadgen` client: the whole line — frame, `rid` stamp, newline —
+//! goes to exactly one `write_all`. A frame and its newline written
+//! separately let Nagle's algorithm hold the one-byte tail until the
+//! peer's delayed ACK (≈ 40 ms per reply), so both sides also set
+//! `TCP_NODELAY`.
 
-use std::io::BufRead;
+use std::io::{BufRead, Write};
 
 use mpcjoin::mpc::json::{escape_str, Json};
 use mpcjoin::mpc::{FaultPlan, MpcError};
@@ -618,6 +627,21 @@ fn id_json(id: Option<u64>) -> String {
     id.map_or_else(|| "null".to_string(), |v| v.to_string())
 }
 
+/// Room past a frame's closing brace for [`write_frame`]'s
+/// `,"rid":<u64>` stamp and newline.
+const LINE_TAIL: usize = ",\"rid\":".len() + 20 + 1;
+
+/// `head`, the body verbatim, the closing brace — in one allocation
+/// sized for the finished line, so the body is copied exactly once
+/// between the cache and the socket.
+fn splice(head: &str, body: &str) -> String {
+    let mut frame = String::with_capacity(head.len() + body.len() + 1 + LINE_TAIL);
+    frame.push_str(head);
+    frame.push_str(body);
+    frame.push('}');
+    frame
+}
+
 /// A `result` frame around an already-serialized canonical body.
 pub fn result_frame(
     id: u64,
@@ -627,29 +651,30 @@ pub fn result_frame(
     body: &str,
 ) -> String {
     let recovery = recovery.map_or_else(|| "null".to_string(), Json::to_string_sanitized);
-    format!(
+    let head = format!(
         "{{\"schema\":\"{WIRE_SCHEMA}\",\"type\":\"result\",\"id\":{id},\"cached\":{cached},\
-         \"elapsed_ns\":{elapsed_ns},\"recovery\":{recovery},\"result\":{body}}}"
-    )
+         \"elapsed_ns\":{elapsed_ns},\"recovery\":{recovery},\"result\":"
+    );
+    splice(&head, body)
 }
 
 /// An `update` frame: the `mpcjoin-delta-v1` decision document plus the
 /// updated instance's canonical body, spliced as raw bytes (like result
 /// bodies) so revalidated cache entries stay bit-identical to cold runs.
 pub fn update_frame(id: u64, elapsed_ns: u128, delta: &Json, body: &str) -> String {
-    format!(
+    let head = format!(
         "{{\"schema\":\"{WIRE_SCHEMA}\",\"type\":\"update\",\"id\":{id},\
-         \"elapsed_ns\":{elapsed_ns},\"delta\":{},\"result\":{body}}}",
+         \"elapsed_ns\":{elapsed_ns},\"delta\":{},\"result\":",
         delta.to_string_sanitized()
-    )
+    );
+    splice(&head, body)
 }
 
 /// An `explain` frame around an already-serialized `mpcjoin-plan-v1`
 /// document (spliced as raw bytes, like result bodies).
 pub fn explain_frame(id: u64, plan_body: &str) -> String {
-    format!(
-        "{{\"schema\":\"{WIRE_SCHEMA}\",\"type\":\"explain\",\"id\":{id},\"plan\":{plan_body}}}"
-    )
+    let head = format!("{{\"schema\":\"{WIRE_SCHEMA}\",\"type\":\"explain\",\"id\":{id},\"plan\":");
+    splice(&head, plan_body)
 }
 
 /// An `error` frame.
@@ -688,15 +713,36 @@ pub fn shutdown_ack_frame(id: Option<u64>, completed: u64) -> String {
 }
 
 /// Splice the server-allocated request id into a finished response
-/// frame, as a final `"rid"` member. Operates on the serialized bytes —
-/// every frame builder emits a JSON object, and the splice point (the
-/// closing brace) is *after* any verbatim-spliced body, so cached
-/// result bytes are untouched and bit-identity is preserved.
-pub fn stamp_rid(frame: &str, rid: u64) -> String {
-    match frame.rfind('}') {
-        Some(at) => format!("{},\"rid\":{rid}{}", &frame[..at], &frame[at..]),
-        None => frame.to_string(), // not an object — leave it alone
+/// frame, in place, as a final `"rid"` member. Operates on the
+/// serialized bytes — every frame builder emits a JSON object, and the
+/// splice point (the closing brace) is *after* any verbatim-spliced
+/// body, so cached result bytes are untouched and bit-identity is
+/// preserved. A frame that is not an object is left alone.
+fn insert_rid(frame: &mut String, rid: u64) {
+    if let Some(at) = frame.rfind('}') {
+        frame.insert_str(at, &format!(",\"rid\":{rid}"));
     }
+}
+
+/// A copy of `frame` stamped with `rid` (what [`write_frame`] puts on
+/// the socket, minus the newline).
+pub fn stamp_rid(frame: &str, rid: u64) -> String {
+    let mut stamped = frame.to_string();
+    insert_rid(&mut stamped, rid);
+    stamped
+}
+
+/// Put one frame on a connection: stamp `rid` (the server's; clients
+/// pass `None`) in place, end the line, and hand the whole line to one
+/// `write_all` (see the module docs for why). The body-carrying
+/// builders ([`result_frame`], [`update_frame`], [`explain_frame`])
+/// reserve the tail, so neither step copies their body again.
+pub fn write_frame(w: &mut impl Write, mut frame: String, rid: Option<u64>) -> std::io::Result<()> {
+    if let Some(rid) = rid {
+        insert_rid(&mut frame, rid);
+    }
+    frame.push('\n');
+    w.write_all(frame.as_bytes())
 }
 
 /// A client-side view of one response line.
@@ -1017,6 +1063,50 @@ mod tests {
             let view = ResponseView::parse(&stamp_rid(&frame, 7)).unwrap();
             assert_eq!(view.rid, Some(7), "{frame}");
         }
+    }
+
+    #[test]
+    fn write_frame_puts_one_stamped_line_in_one_write() {
+        /// Logs every `write` call it receives.
+        #[derive(Default)]
+        struct Recorder(Vec<Vec<u8>>);
+        impl Write for Recorder {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        // A body the size of the largest cached replies (> 52 KiB).
+        let rows: Vec<String> = (0..2400)
+            .map(|i| format!("[[{i},{}],\"Count(1)\"]", i % 97))
+            .collect();
+        let body = format!("{{\"plan\":\"MatMul\",\"rows\":[{}]}}", rows.join(","));
+        assert!(body.len() > 52 * 1024);
+        let frame = result_frame(3, true, 17, None, &body);
+        assert!(
+            frame.capacity() - frame.len() >= LINE_TAIL,
+            "the builder reserved the stamp and newline"
+        );
+        let mut w = Recorder::default();
+        write_frame(&mut w, frame.clone(), Some(99)).unwrap();
+        assert_eq!(w.0.len(), 1, "exactly one write call per frame");
+        let line = String::from_utf8(w.0.remove(0)).unwrap();
+        assert_eq!(line, format!("{}\n", stamp_rid(&frame, 99)));
+        assert!(
+            line.ends_with(",\"rid\":99}\n"),
+            "rid sits before the final brace"
+        );
+        assert!(
+            line.contains(&format!("\"result\":{body},\"rid\"")),
+            "body bytes spliced verbatim"
+        );
+
+        // The client path: no stamp, still one write.
+        write_frame(&mut w, pong_frame(Some(1)), None).unwrap();
+        assert_eq!(w.0, [format!("{}\n", pong_frame(Some(1))).into_bytes()]);
     }
 
     #[test]
